@@ -18,8 +18,9 @@
 //!    are recorded per engine, and the shed counter is read from `/stats`.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench loadgen`
-//! Writes `BENCH_PR4.json` at the repo root (set `BENCH_DATE` to stamp the
-//! date field).
+//! Writes `target/BENCH_PR4.json` under the workspace root (set
+//! `BENCH_DATE` to stamp the date field). The committed `BENCH_PR4.json` at
+//! the root is a recorded result; copy a new run over it on purpose.
 
 use evoforecast_core::rule::{Condition, Gene, Rule};
 use evoforecast_core::{Combination, CompiledRuleSet, RuleSetPredictor};
@@ -273,7 +274,7 @@ fn main() {
     println!("server compiled: {compiled_load:?}");
     println!("shed during load: {shed}");
 
-    // ---- emit BENCH_PR4.json --------------------------------------------
+    // ---- emit target/BENCH_PR4.json -------------------------------------
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let date = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unknown".to_string());
     let json = format!(
@@ -330,9 +331,9 @@ fn main() {
         c_p99 = compiled_load.p99_us,
         speedup = scan_us / compiled_us,
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_PR4.json");
-    std::fs::write(&out, json).expect("write BENCH_PR4.json");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    std::fs::create_dir_all(&dir).expect("create the workspace target directory");
+    let out = dir.join("BENCH_PR4.json");
+    std::fs::write(&out, json).expect("write target/BENCH_PR4.json");
     println!("wrote {}", out.display());
 }

@@ -21,8 +21,9 @@ use crate::dataset::{self, ColumnStore, ExampleSet};
 use crate::error::EvoError;
 use crate::fitness::FitnessParams;
 use crate::matchindex::MatchIndex;
+use crate::parallel::GramScratch;
 use crate::population::{GeneBitsets, Individual, Population};
-use crate::regress::{fit_from_accumulator, fit_via_bitset, rule_from_parts};
+use crate::regress::{fit_from_accumulator, fit_via_bitset_with, rule_from_parts};
 use crate::rule::{Condition, Gene, Rule};
 use crate::{crossover, init, mutation, parallel, replacement, selection};
 use evoforecast_linalg::regression::RegressionOptions;
@@ -136,8 +137,8 @@ pub struct GenericEngine<E: ExampleSet> {
 
 /// State of the delta evaluation path: the columnar data view, one
 /// [`GeneBitsets`] per population slot (lockstep with `match_sets`), and
-/// reusable offspring scratch buffers — the steady-state loop allocates
-/// nothing.
+/// reusable offspring scratch buffers — building the offspring's match set
+/// and accumulating its normal equations allocate nothing.
 #[derive(Debug)]
 struct DeltaState {
     columns: ColumnStore,
@@ -153,6 +154,8 @@ struct DeltaState {
     from_a: Vec<bool>,
     /// Ascending indices of the genes mutation rewrote this generation.
     mutated: Vec<usize>,
+    /// Gathered-row tile and chunk partials of the Gram accumulation.
+    gram: GramScratch,
 }
 
 /// The paper's engine: evolution over a windowed time series.
@@ -190,6 +193,7 @@ impl<E: ExampleSet> GenericEngine<E> {
             scratch_full: MatchBitset::new(data.len()),
             from_a: Vec::new(),
             mutated: Vec::new(),
+            gram: GramScratch::new(data.feature_len(), RegressionOptions::fast().intercept),
         });
         let mut stats = EngineStats::default();
         let mut individuals = Vec::with_capacity(conditions.len());
@@ -205,8 +209,13 @@ impl<E: ExampleSet> GenericEngine<E> {
                     gs.intersect_into(&mut full);
                     ds.gene_sets.push(gs);
                     let opts = RegressionOptions::fast();
-                    let (count, model) =
-                        fit_via_bitset(&full, &data, opts, config.parallel_threshold);
+                    let (count, model) = fit_via_bitset_with(
+                        &full,
+                        &data,
+                        opts,
+                        config.parallel_threshold,
+                        &mut ds.gram,
+                    );
                     let rule = rule_from_parts(c, model, count);
                     let fit = config.fitness.fitness(rule.matched, rule.error);
                     (Individual { rule, fitness: fit }, full)
@@ -324,9 +333,10 @@ impl<E: ExampleSet> GenericEngine<E> {
     /// from the donor parent, tracked mutation recomputes only the rewritten
     /// genes, the full match set is a selectivity-ordered AND, and the Gram /
     /// `Xᵀy` are rebuilt over the resulting set bits through the standard
-    /// chunk discipline. Zero allocation per generation: all buffers live in
-    /// [`DeltaState`] and are swapped — not cloned — into the population
-    /// slots on replacement.
+    /// chunk discipline — or taken from a parent with the same match set.
+    /// Building the match set and accumulating the Gram allocate nothing: the
+    /// buffers live in [`DeltaState`] and are swapped — not cloned — into the
+    /// population slots on replacement.
     fn offspring_delta(&mut self, ia: usize, ib: usize) -> bool {
         // audit: allow(panic-freedom) — delta is always restored before return; take/put pairs are local to this fn
         let mut delta = self.delta.take().expect("delta state present");
@@ -337,6 +347,7 @@ impl<E: ExampleSet> GenericEngine<E> {
             scratch_full,
             from_a,
             mutated,
+            gram,
         } = &mut delta;
 
         let mut child = crossover::uniform_into(
@@ -384,14 +395,7 @@ impl<E: ExampleSet> GenericEngine<E> {
         }
         scratch_genes.intersect_into(scratch_full);
 
-        let opts = RegressionOptions::fast();
-        let (count, model) = fit_via_bitset(
-            scratch_full,
-            &self.data,
-            opts,
-            self.config.parallel_threshold,
-        );
-        let rule = rule_from_parts(child, model, count);
+        let rule = self.offspring_rule(child, scratch_full, [ia, ib], gram);
         let fit = self.config.fitness.fitness(rule.matched, rule.error);
         let offspring = Individual { rule, fitness: fit };
         self.stats.evaluations += 1;
@@ -429,6 +433,40 @@ impl<E: ExampleSet> GenericEngine<E> {
         }
         self.delta = Some(delta);
         replaced
+    }
+
+    /// Derive the rule of an offspring whose match set is `matched`. The
+    /// predicting part is a pure function of the match set, so when it equals
+    /// a parent's (compared word by word, stopping at the first difference)
+    /// the offspring takes that parent's part instead of refitting it —
+    /// bit-identical by construction. Otherwise the part is fitted over the
+    /// set bits.
+    fn offspring_rule(
+        &self,
+        child: Condition,
+        matched: &MatchBitset,
+        parents: [usize; 2],
+        gram: &mut GramScratch,
+    ) -> Rule {
+        if let Some(&k) = parents.iter().find(|&&k| self.match_sets[k] == *matched) {
+            let parent = &self.population.get(k).rule;
+            return Rule {
+                condition: child,
+                coefficients: parent.coefficients.clone(),
+                intercept: parent.intercept,
+                prediction: parent.prediction,
+                error: parent.error,
+                matched: parent.matched,
+            };
+        }
+        let (count, model) = fit_via_bitset_with(
+            matched,
+            &self.data,
+            RegressionOptions::fast(),
+            self.config.parallel_threshold,
+            gram,
+        );
+        rule_from_parts(child, model, count)
     }
 
     /// Run the configured number of generations and return the final rule
@@ -648,6 +686,7 @@ fn build_gene_sets<E: ExampleSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::fit_via_bitset;
     use evoforecast_tsdata::gen::waves::{noisy_sine, sine};
     use evoforecast_tsdata::window::WindowSpec;
 
@@ -850,6 +889,67 @@ mod tests {
         let model = model.unwrap();
         assert_eq!(model.intercept.to_bits(), reference.intercept.to_bits());
         assert_eq!(model.error.to_bits(), reference.error.to_bits());
+    }
+
+    fn assert_rule_bits(a: &Rule, b: &Rule) {
+        assert_eq!(a.condition, b.condition);
+        assert_eq!(a.matched, b.matched);
+        let bits = |r: &Rule| {
+            let mut v: Vec<u64> = r.coefficients.iter().map(|c| c.to_bits()).collect();
+            v.extend([r.intercept, r.prediction, r.error].map(f64::to_bits));
+            v
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn offspring_matching_a_parent_takes_its_part_bit_for_bit() {
+        let series = noisy_sine(700, 25.0, 1.0, 0.08, 17);
+        let mut e = engine_on(series.values(), 0, 23);
+        let opts = RegressionOptions::fast();
+        let mut gram = GramScratch::new(4, opts.intercept);
+        let child = Condition::new(vec![
+            Gene::bounded(-0.5, 0.5),
+            Gene::Wildcard,
+            Gene::Wildcard,
+            Gene::bounded(-2.0, 2.0),
+        ]);
+        let (ia, ib) = (3, 7);
+        assert_ne!(e.match_sets[ia], e.match_sets[ib]);
+        for k in [ia, ib] {
+            // Refitting a parent's match set reproduces its part bit for bit,
+            // which is what makes the skip exact...
+            let set = e.match_sets[k].clone();
+            let parent = e.population.get(k).rule.clone();
+            let (count, model) = fit_via_bitset(&set, &e.data, opts, usize::MAX);
+            assert_rule_bits(
+                &rule_from_parts(parent.condition.clone(), model, count),
+                &parent,
+            );
+            let twin = e.offspring_rule(child.clone(), &set, [ia, ib], &mut gram);
+            assert_rule_bits(
+                &twin,
+                &Rule {
+                    condition: child.clone(),
+                    ..parent.clone()
+                },
+            );
+            // ...and the offspring really takes the stored part: a doctored
+            // parent hands its doctored error on.
+            let mut doctored = e.population.get(k).clone();
+            doctored.rule.error = 12345.0;
+            e.population.replace(k, doctored);
+            let twin = e.offspring_rule(child.clone(), &set, [ia, ib], &mut gram);
+            assert_eq!(twin.error, 12345.0);
+            assert_eq!(twin.condition, child);
+        }
+        // A match set equal to neither parent is fitted from its bits.
+        let mut other = e.match_sets[ia].clone();
+        other.union_with(&e.match_sets[ib]);
+        assert!(other != e.match_sets[ia] && other != e.match_sets[ib]);
+        let (count, model) = fit_via_bitset(&other, &e.data, opts, usize::MAX);
+        let fitted = e.offspring_rule(child.clone(), &other, [ia, ib], &mut gram);
+        assert_rule_bits(&fitted, &rule_from_parts(child, model, count));
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! dispatch costs more than matching a few thousand windows, and the
 //! sequential and parallel paths must return *identical* results (rayon's
 //! indexed `filter`/`map` preserve order, so they do — the determinism test
-//! below pins that).
+//! below pins that). The scanning kernels touch every window, so they
+//! compare the dataset length with the threshold; the delta path's Gram
+//! accumulation ([`accumulate_from_bitset`]) touches only the matched
+//! windows, so it compares the matched-row count.
 
 use crate::bitset::MatchBitset;
 use crate::dataset::ExampleSet;
 use crate::regress::GRAM_CHUNK;
 use crate::rule::Condition;
-use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions, RowTile};
 use rayon::prelude::*;
 
 /// Indices of the training windows matched by a condition, parallelized when
@@ -153,16 +156,82 @@ pub fn accumulate_sorted_indices<E: ExampleSet>(
     (bits, acc)
 }
 
+/// Reusable buffers of the bitset accumulation: the gathered-row tile, one
+/// chunk partial and the total. The engine keeps one in its delta state, so
+/// accumulating on the sequential path allocates nothing.
+#[derive(Debug)]
+pub(crate) struct GramScratch {
+    tile: RowTile,
+    /// Sum over the current chunk. Always empty between chunks: it is
+    /// cleared right after being merged, and a chunk with no rows leaves it
+    /// untouched.
+    part: NormalEqAccumulator,
+    total: NormalEqAccumulator,
+}
+
+impl GramScratch {
+    pub(crate) fn new(d: usize, intercept: bool) -> GramScratch {
+        GramScratch {
+            tile: RowTile::new(d, intercept),
+            part: NormalEqAccumulator::new(d, intercept),
+            total: NormalEqAccumulator::new(d, intercept),
+        }
+    }
+}
+
+/// Push the set bits of chunk `c` into `part` in ascending window order,
+/// gathered [`TILE_ROWS`](evoforecast_linalg::regression::TILE_ROWS) rows at
+/// a time through `tile`.
+fn accumulate_chunk_bits<E: ExampleSet>(
+    words: &[u64],
+    c: usize,
+    data: &E,
+    tile: &mut RowTile,
+    part: &mut NormalEqAccumulator,
+) {
+    let n = data.len();
+    let words_per_chunk = GRAM_CHUNK / 64;
+    let word_start = c * words_per_chunk;
+    let word_end = (word_start + words_per_chunk).min(words.len());
+    for (wi, &word) in words[word_start..word_end].iter().enumerate() {
+        let base = (word_start + wi) * 64;
+        let mut w = word;
+        while w != 0 {
+            let i = base + w.trailing_zeros() as usize;
+            debug_assert!(
+                i < n,
+                "bitset has a set bit at {i} beyond the dataset length {n}"
+            );
+            debug_assert!(
+                data.features(i).iter().all(|x| x.is_finite()) && data.target(i).is_finite(),
+                "non-finite example at index {i} reached the delta kernel"
+            );
+            tile.push(data.features(i), data.target(i));
+            if tile.is_full() {
+                part.push_tile(tile);
+                tile.clear();
+            }
+            w &= w - 1;
+        }
+    }
+    if !tile.is_empty() {
+        part.push_tile(tile);
+        tile.clear();
+    }
+}
+
 /// Accumulate the normal equations over the set bits of an already-known
 /// match set — the delta-evaluation entry into the fused path, where the
 /// match set was produced by ANDing per-gene bitsets rather than by
 /// rescanning rows. Walks each [`GRAM_CHUNK`]'s words (chunk boundaries are
-/// word-aligned), pushing rows in ascending window order, and merges the
-/// per-chunk parts in ascending chunk order skipping empty ones — exactly
-/// the discipline of [`match_and_accumulate`] /
+/// word-aligned), pushing rows in ascending window order through the
+/// register-blocked tile kernel
+/// ([`NormalEqAccumulator::push_tile`], bit-identical to row-by-row
+/// pushes), and merges the per-chunk parts in ascending chunk order skipping
+/// empty ones — exactly the discipline of [`match_and_accumulate`] /
 /// [`accumulate_sorted_indices`], so all three agree bit-for-bit on the same
-/// match set. Parallelized over chunks when the dataset has at least
-/// `threshold` windows.
+/// match set. Parallelized over chunks when the match set has at least
+/// `threshold` rows.
 ///
 /// # Panics
 /// Panics (in debug builds) when the bitset universe differs from the
@@ -173,47 +242,55 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
     opts: RegressionOptions,
     threshold: usize,
 ) -> NormalEqAccumulator {
-    let n = data.len();
-    debug_assert_eq!(bits.len(), n, "bitset universe mismatch");
-    let d = data.feature_len();
-    let chunks = n.div_ceil(GRAM_CHUNK);
-    let words_per_chunk = GRAM_CHUNK / 64;
+    let mut scratch = GramScratch::new(data.feature_len(), opts.intercept);
+    accumulate_bitset_into(bits, data, threshold, &mut scratch);
+    scratch.total
+}
+
+/// [`accumulate_from_bitset`] into reusable buffers; returns the total.
+///
+/// Unlike the scanning kernels, which touch every row and so gate their
+/// fan-out on the dataset length, this one only touches the matched rows:
+/// it fans out when the *matched-row count* reaches `threshold`. The chunk
+/// structure, not the thread count, fixes the summation order, so both
+/// branches return the same bits. The fan-out branch gives every chunk its
+/// own tile and partial, because the chunks run concurrently.
+pub(crate) fn accumulate_bitset_into<'s, E: ExampleSet>(
+    bits: &MatchBitset,
+    data: &E,
+    threshold: usize,
+    scratch: &'s mut GramScratch,
+) -> &'s NormalEqAccumulator {
+    debug_assert_eq!(bits.len(), data.len(), "bitset universe mismatch");
+    let GramScratch { tile, part, total } = scratch;
+    let chunks = data.len().div_ceil(GRAM_CHUNK);
     let words = bits.words();
-    let chunk_acc = |c: usize| {
-        let word_start = c * words_per_chunk;
-        let word_end = (word_start + words_per_chunk).min(words.len());
-        let mut part = NormalEqAccumulator::new(d, opts.intercept);
-        for (wi, &word) in words[word_start..word_end].iter().enumerate() {
-            let base = (word_start + wi) * 64;
-            let mut w = word;
-            while w != 0 {
-                let i = base + w.trailing_zeros() as usize;
-                debug_assert!(
-                    i < n,
-                    "bitset has a set bit at {i} beyond the dataset length {n}"
-                );
-                debug_assert!(
-                    data.features(i).iter().all(|x| x.is_finite()) && data.target(i).is_finite(),
-                    "non-finite example at index {i} reached the delta kernel"
-                );
-                part.push_row(data.features(i), data.target(i));
-                w &= w - 1;
+    total.clear();
+    if bits.count_ones() >= threshold {
+        // `tile` and `part` are empty here: clones give each chunk its own.
+        let (empty_tile, empty_part) = (&*tile, &*part);
+        let parts: Vec<NormalEqAccumulator> = (0..chunks)
+            .into_par_iter()
+            .map(|c| {
+                let mut tile = empty_tile.clone();
+                let mut part = empty_part.clone();
+                accumulate_chunk_bits(words, c, data, &mut tile, &mut part);
+                part
+            })
+            .collect();
+        for part in parts.iter().filter(|p| p.count() > 0) {
+            total.merge(part);
+        }
+    } else {
+        for c in 0..chunks {
+            accumulate_chunk_bits(words, c, data, tile, part);
+            if part.count() > 0 {
+                total.merge(part);
+                part.clear();
             }
         }
-        part
-    };
-    let parts: Vec<NormalEqAccumulator> = if n < threshold {
-        (0..chunks).map(chunk_acc).collect()
-    } else {
-        (0..chunks).into_par_iter().map(chunk_acc).collect()
-    };
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
-    for part in parts {
-        if part.count() > 0 {
-            acc.merge(&part);
-        }
     }
-    acc
+    total
 }
 
 /// Matched windows as a bitset (no regression accumulation) — used for the
@@ -432,29 +509,36 @@ mod tests {
     #[test]
     fn bitset_accumulation_matches_fused_scan_bit_for_bit() {
         // The delta path hands an AND-derived bitset to
-        // accumulate_from_bitset; its chunked merge must reproduce the fused
-        // scan's sums exactly, sequentially and under rayon.
+        // accumulate_from_bitset; its tiled, chunked accumulation must
+        // reproduce the fused scan's row-by-row sums exactly, sequentially
+        // and under rayon. D = 96 gives ragged 4×4 edge blocks (p = 97), and
+        // the match set is large enough that the default threshold fans out.
         let vals = big_series();
-        let ds = dataset(&vals);
-        let cond = Condition::new(vec![
-            Gene::bounded(-25.0, 25.0),
-            Gene::bounded(-40.0, 40.0),
-            Gene::Wildcard,
-        ]);
-        let opts = RegressionOptions::fast();
-        let (scan_bits, scan_acc) = match_and_accumulate(&cond, &ds, opts, usize::MAX);
-        for threshold in [usize::MAX, 1] {
-            let acc = accumulate_from_bitset(&scan_bits, &ds, opts, threshold);
-            assert_eq!(acc.count(), scan_acc.count());
-            assert_eq!(
-                acc.sum_targets().to_bits(),
-                scan_acc.sum_targets().to_bits()
-            );
-            let a = acc.solve(opts.ridge_lambda).unwrap();
-            let b = scan_acc.solve(opts.ridge_lambda).unwrap();
-            assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
-            for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        let default_threshold =
+            crate::EngineConfig::for_series(&vals, WindowSpec::new(3, 1).unwrap())
+                .parallel_threshold;
+        for d in [3usize, 96] {
+            let ds = WindowSpec::new(d, 1).unwrap().dataset(&vals).unwrap();
+            let mut genes = vec![Gene::Wildcard; d];
+            genes[0] = Gene::bounded(-30.0, 30.0);
+            genes[d - 1] = Gene::bounded(-40.0, 40.0);
+            let cond = Condition::new(genes);
+            let opts = RegressionOptions::fast();
+            let (scan_bits, scan_acc) = match_and_accumulate(&cond, &ds, opts, usize::MAX);
+            assert!(scan_acc.count() >= default_threshold);
+            for threshold in [usize::MAX, 1, default_threshold] {
+                let acc = accumulate_from_bitset(&scan_bits, &ds, opts, threshold);
+                assert_eq!(acc.count(), scan_acc.count());
+                assert_eq!(
+                    acc.sum_targets().to_bits(),
+                    scan_acc.sum_targets().to_bits()
+                );
+                let a = acc.solve(opts.ridge_lambda).unwrap();
+                let b = scan_acc.solve(opts.ridge_lambda).unwrap();
+                assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
+                for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "D = {d}, threshold {threshold}");
+                }
             }
         }
     }

@@ -37,6 +37,7 @@
 
 use crate::bitset::MatchBitset;
 use crate::dataset::ExampleSet;
+use crate::parallel::GramScratch;
 use crate::rule::{Condition, Rule};
 use evoforecast_linalg::regression::{LinearRegression, NormalEqAccumulator, RegressionOptions};
 use evoforecast_linalg::Matrix;
@@ -194,8 +195,8 @@ pub fn fit_from_accumulator<E: ExampleSet>(
 /// delta-evaluation back half. Rebuilds the normal equations over the set
 /// bits in ascending window order via
 /// [`crate::parallel::accumulate_from_bitset`] (same [`GRAM_CHUNK`]
-/// discipline as the fused scan, parallelized when the dataset has at least
-/// `threshold` windows), then solves and computes `e_R` exactly like
+/// discipline as the fused scan, parallelized when at least `threshold`
+/// windows match), then solves and computes `e_R` exactly like
 /// [`fit_from_accumulator`]. Returns `(matched_count, model)`.
 pub fn fit_via_bitset<E: ExampleSet>(
     matched: &MatchBitset,
@@ -203,9 +204,21 @@ pub fn fit_via_bitset<E: ExampleSet>(
     opts: RegressionOptions,
     threshold: usize,
 ) -> (usize, Option<FittedPart>) {
-    let acc = crate::parallel::accumulate_from_bitset(matched, data, opts, threshold);
-    let count = acc.count();
-    (count, fit_from_accumulator(&acc, matched, data, opts))
+    let mut scratch = GramScratch::new(data.feature_len(), opts.intercept);
+    fit_via_bitset_with(matched, data, opts, threshold, &mut scratch)
+}
+
+/// [`fit_via_bitset`] with reusable accumulation buffers, whose intercept
+/// mode must be `opts.intercept`.
+pub(crate) fn fit_via_bitset_with<E: ExampleSet>(
+    matched: &MatchBitset,
+    data: &E,
+    opts: RegressionOptions,
+    threshold: usize,
+    scratch: &mut GramScratch,
+) -> (usize, Option<FittedPart>) {
+    let acc = crate::parallel::accumulate_bitset_into(matched, data, threshold, scratch);
+    (acc.count(), fit_from_accumulator(acc, matched, data, opts))
 }
 
 /// Match `condition` against every window of `data` and derive the

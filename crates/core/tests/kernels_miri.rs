@@ -4,7 +4,8 @@
 //! Everything here is small and deterministic: Miri interprets every
 //! instruction, so these tests trade breadth for being cheap enough to
 //! retire undefined-behavior risk in the word-twiddling kernels — the
-//! bitset, the compiled predictor's columnar scan, and the checkpoint
+//! bitset, the tiled Gram accumulation, the compiled predictor's columnar
+//! scan, and the checkpoint
 //! byte round-trip (the one test that touches the filesystem; the CI job
 //! sets `MIRIFLAGS=-Zmiri-disable-isolation` for it).
 
@@ -12,7 +13,9 @@ use evoforecast_core::checkpoint::{
     fingerprint_json, EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHECKPOINT_VERSION,
 };
 use evoforecast_core::prelude::*;
-use evoforecast_core::{CompiledRuleSet, MatchBitset};
+use evoforecast_core::{parallel, CompiledRuleSet, ExampleSet, MatchBitset};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
+use evoforecast_tsdata::window::WindowSpec;
 
 /// Tiny deterministic generator so the patterns exercise word boundaries
 /// without depending on any ambient entropy.
@@ -91,6 +94,41 @@ fn bitset_ops_match_a_naive_model() {
     full.fill_all();
     assert!(full.all_set());
     assert_eq!(full.count_ones(), LEN, "ragged tail word must stay masked");
+}
+
+#[test]
+fn tiled_gram_accumulation_matches_row_by_row_pushes() {
+    // D = 5 plus the intercept: p = 6, one full 4×4 block column and a
+    // ragged edge. ~65 matched rows fill one 64-row tile and start another;
+    // whole-unit values put exact zeros in the rows.
+    let mut rng = Lcg(0x7113);
+    let values: Vec<f64> = (0..80).map(|_| (rng.next() % 9) as f64 - 4.0).collect();
+    let ds = WindowSpec::new(5, 1).unwrap().dataset(&values).unwrap();
+    let mut bits = MatchBitset::new(ds.len());
+    for i in 0..ds.len() {
+        if !rng.chance(8) {
+            bits.set(i);
+        }
+    }
+    let opts = RegressionOptions::fast();
+    let tiled = parallel::accumulate_from_bitset(&bits, &ds, opts, usize::MAX);
+    let mut by_row = NormalEqAccumulator::new(5, opts.intercept);
+    for i in bits.iter_ones() {
+        by_row.push_row(ds.features(i), ds.target(i));
+    }
+    assert_eq!(tiled.count(), by_row.count());
+    assert_eq!(
+        tiled.sum_targets().to_bits(),
+        by_row.sum_targets().to_bits()
+    );
+    let (a, b) = (
+        tiled.solve(opts.ridge_lambda).unwrap(),
+        by_row.solve(opts.ridge_lambda).unwrap(),
+    );
+    assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
+    for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
 }
 
 #[test]

@@ -238,6 +238,88 @@ impl LinearRegression {
     }
 }
 
+/// Rows a [`RowTile`] holds. Small enough that a tile of Venice-width rows
+/// (`p = 25`, stride 28: 14 KiB) stays in L1 while every Gram block sweeps
+/// it; large enough that each block's load/store of its 16 Gram entries is
+/// amortized over many rows.
+pub const TILE_ROWS: usize = 64;
+
+/// A small row-major block of gathered observations — the input of
+/// [`NormalEqAccumulator::push_tile`].
+///
+/// Each row holds the features, then the intercept's `1.0` (when the tile
+/// was built with one), then zero padding up to a stride that is a multiple
+/// of 4, so the kernel's 4×4 blocks never read past a row. The intercept
+/// column and the padding are written once at construction; [`push`] copies
+/// only the features.
+///
+/// [`push`]: RowTile::push
+#[derive(Debug, Clone)]
+pub struct RowTile {
+    /// Feature count `d`.
+    d: usize,
+    /// Augmented column count `p` (`d + 1` with an intercept).
+    order: usize,
+    /// Row stride: `p` rounded up to a multiple of 4 (at least 4).
+    stride: usize,
+    /// Rows currently held.
+    rows: usize,
+    /// `TILE_ROWS x stride`, row-major.
+    values: Vec<f64>,
+    /// One target per row.
+    targets: Vec<f64>,
+}
+
+impl RowTile {
+    /// Empty tile for `d`-feature observations.
+    pub fn new(d: usize, intercept: bool) -> RowTile {
+        let order = if intercept { d + 1 } else { d };
+        let stride = order.next_multiple_of(4).max(4);
+        let mut values = vec![0.0; TILE_ROWS * stride];
+        if intercept {
+            for row in values.chunks_exact_mut(stride) {
+                row[d] = 1.0;
+            }
+        }
+        RowTile {
+            d,
+            order,
+            stride,
+            rows: 0,
+            values,
+            targets: vec![0.0; TILE_ROWS],
+        }
+    }
+
+    /// Whether the tile holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Whether the tile holds [`TILE_ROWS`] rows.
+    pub fn is_full(&self) -> bool {
+        self.rows == TILE_ROWS
+    }
+
+    /// Append one observation.
+    ///
+    /// # Panics
+    /// When the tile is full, or when `features.len() != d`.
+    #[inline]
+    pub fn push(&mut self, features: &[f64], target: f64) {
+        assert!(!self.is_full(), "row tile is full");
+        let start = self.rows * self.stride;
+        self.values[start..start + self.d].copy_from_slice(features);
+        self.targets[self.rows] = target;
+        self.rows += 1;
+    }
+
+    /// Drop every row (the intercept column and padding stay in place).
+    pub fn clear(&mut self) {
+        self.rows = 0;
+    }
+}
+
 /// Streaming accumulator for the ridge normal equations `(XᵀX + λI) β = Xᵀy`.
 ///
 /// The fused evaluation kernel pushes each matched observation as it is
@@ -325,6 +407,82 @@ impl NormalEqAccumulator {
         vector::axpy(target, &self.row_buf, &mut self.xty);
         self.sum_y += target;
         self.count += 1;
+    }
+
+    /// Rank-k update with every row of `tile`: bit-identical to calling
+    /// [`push_row`] on those rows in order, for finite input.
+    ///
+    /// The upper triangle is computed in 4×4 register blocks. Each block
+    /// loads its Gram entries once, adds `x_a·x_b` for the tile's rows in
+    /// ascending row order, and stores back only the entries with
+    /// `a ≤ b < p`. Every entry therefore still receives its products one at
+    /// a time in ascending row order — the per-entry summation order is the
+    /// only thing that fixes the result, so blocking changes no bit. Rust
+    /// never contracts `a*b + c` into a fused multiply-add, so each step is
+    /// the same rounded product and rounded sum as in [`push_row`].
+    ///
+    /// [`push_row`] skips the products of a zero `x_a`; this kernel adds
+    /// them. That is exact for finite input: the product is `±0`, an entry
+    /// starts at `+0.0`, and a round-to-nearest sum is `-0.0` only when both
+    /// operands are `-0.0`, so no entry ever becomes `-0.0` — and adding
+    /// `±0` to a value that is not `-0.0` returns it unchanged. (A zero times
+    /// an infinite `x_b` would be NaN; callers pass finite rows.)
+    ///
+    /// `Xᵀy`, `Σy` and the count are updated per row, as in [`push_row`].
+    /// The tile is left as it was; the caller clears it.
+    ///
+    /// # Panics
+    /// When the tile was built for a different feature count or intercept
+    /// mode.
+    ///
+    /// [`push_row`]: NormalEqAccumulator::push_row
+    pub fn push_tile(&mut self, tile: &RowTile) {
+        assert_eq!(tile.d, self.d, "tile feature count differs");
+        let p = self.xty.len();
+        assert_eq!(tile.order, p, "tile intercept mode differs");
+        let rows = &tile.values[..tile.rows * tile.stride];
+        for a0 in (0..p).step_by(4) {
+            for b0 in (a0..p).step_by(4) {
+                let stored = |i: usize, j: usize| a0 + i <= b0 + j && b0 + j < p;
+                let mut c = [[0.0_f64; 4]; 4];
+                for (i, ci) in c.iter_mut().enumerate() {
+                    for (j, cij) in ci.iter_mut().enumerate() {
+                        if stored(i, j) {
+                            *cij = self.gram[(a0 + i) * p + b0 + j];
+                        }
+                    }
+                }
+                for row in rows.chunks_exact(tile.stride) {
+                    let (blocks, _) = row.as_chunks::<4>();
+                    let (xa, xb) = (&blocks[a0 / 4], &blocks[b0 / 4]);
+                    for (ci, &x) in c.iter_mut().zip(xa) {
+                        for (cij, &y) in ci.iter_mut().zip(xb) {
+                            *cij += x * y;
+                        }
+                    }
+                }
+                for (i, ci) in c.iter().enumerate() {
+                    for (j, &cij) in ci.iter().enumerate() {
+                        if stored(i, j) {
+                            self.gram[(a0 + i) * p + b0 + j] = cij;
+                        }
+                    }
+                }
+            }
+        }
+        for (row, &y) in rows.chunks_exact(tile.stride).zip(&tile.targets) {
+            vector::axpy(y, &row[..p], &mut self.xty);
+            self.sum_y += y;
+        }
+        self.count += tile.rows;
+    }
+
+    /// Reset to the empty state, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.gram.fill(0.0);
+        self.xty.fill(0.0);
+        self.sum_y = 0.0;
+        self.count = 0;
     }
 
     /// Fold another accumulator (over a disjoint row chunk) into this one.
@@ -620,7 +778,109 @@ mod tests {
         assert!((fit.predict(&[2.0, -1.0]) - 10.0).abs() < 1.0);
     }
 
+    /// Awkward finite values for the tile kernel: signed zeros, subnormals,
+    /// and magnitudes around 1e±150 whose products sit near the ends of the
+    /// exponent range.
+    fn awkward_value(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = *state >> 11;
+        let unit = (r >> 4) as f64 / (1u64 << 49) as f64 - 0.5;
+        match r & 15 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(1 + (r >> 20) % 1000),
+            3 => -f64::MIN_POSITIVE * unit,
+            4 | 5 => 1e150 * unit,
+            6 | 7 => 1e-150 * unit,
+            _ => 10.0 * unit,
+        }
+    }
+
+    fn assert_same_bits(a: &NormalEqAccumulator, b: &NormalEqAccumulator, what: &str) {
+        assert_eq!(a.count, b.count, "{what}: count");
+        assert_eq!(
+            a.sum_y.to_bits(),
+            b.sum_y.to_bits(),
+            "{what}: sum of targets"
+        );
+        for (k, (x, y)) in a.gram.iter().zip(&b.gram).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: gram entry {k}: {x:e} vs {y:e}"
+            );
+        }
+        for (k, (x, y)) in a.xty.iter().zip(&b.xty).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: xty entry {k}: {x:e} vs {y:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn clear_resets_to_the_empty_state() {
+        let mut acc = NormalEqAccumulator::new(2, true);
+        acc.push_row(&[1.5, -2.0], 3.0);
+        acc.clear();
+        assert_same_bits(&acc, &NormalEqAccumulator::new(2, true), "cleared");
+    }
+
+    #[test]
+    #[should_panic(expected = "row tile is full")]
+    fn tile_refuses_a_row_past_its_capacity() {
+        let mut tile = RowTile::new(1, true);
+        for _ in 0..=TILE_ROWS {
+            tile.push(&[1.0], 1.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "intercept mode differs")]
+    fn tile_of_another_intercept_mode_is_refused() {
+        let tile = RowTile::new(3, false);
+        NormalEqAccumulator::new(3, true).push_tile(&tile);
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn tile_kernel_equals_repeated_push_row_bit_for_bit(seed in 0u64..1_000_000) {
+            // p = 1..5 and 25 exercise ragged edge blocks; 97 is D = 96
+            // with an intercept. 63/64/65 rows straddle one full tile.
+            let mut state = seed;
+            for p in [1usize, 2, 4, 5, 25, 97] {
+                for intercept in [true, false] {
+                    let d = if intercept { p - 1 } else { p };
+                    for rows in [0usize, 1, 63, 64, 65] {
+                        let mut by_row = NormalEqAccumulator::new(d, intercept);
+                        let mut by_tile = NormalEqAccumulator::new(d, intercept);
+                        // Start from a non-empty state so loads matter too.
+                        for acc in [&mut by_row, &mut by_tile] {
+                            acc.push_row(&vec![1.25; d], -0.5);
+                        }
+                        let mut tile = RowTile::new(d, intercept);
+                        for _ in 0..rows {
+                            let x: Vec<f64> = (0..d).map(|_| awkward_value(&mut state)).collect();
+                            let y = awkward_value(&mut state);
+                            by_row.push_row(&x, y);
+                            tile.push(&x, y);
+                            if tile.is_full() {
+                                by_tile.push_tile(&tile);
+                                tile.clear();
+                            }
+                        }
+                        by_tile.push_tile(&tile);
+                        let what = format!("p = {p}, intercept = {intercept}, rows = {rows}");
+                        assert_same_bits(&by_tile, &by_row, &what);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn accumulator_agrees_with_ridge_fit_everywhere(
             n in 2usize..30,
