@@ -54,6 +54,16 @@ impl MatchBitset {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Flip window `i`'s membership.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of bounds.
+    #[inline]
+    pub(crate) fn flip(&mut self, i: usize) {
+        assert!(i < self.len, "bit {i} out of range {}", self.len);
+        self.words[i / 64] ^= 1u64 << (i % 64);
+    }
+
     /// Membership test.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {

@@ -10,9 +10,12 @@
 //! With [`EngineConfig::use_delta_eval`] (default on) the offspring's match
 //! set is never recomputed from scratch: each individual carries one bitset
 //! per bounded gene ([`crate::population::GeneBitsets`]), crossover copies
-//! the donor parent's bitsets, mutation recomputes only the mutated genes
-//! (columnar sweep or sorted-projection range query), and the full match set
-//! is a selectivity-ordered word-wise AND. Results are bit-identical to the
+//! the donor parent's bitsets, mutation rederives only the mutated genes
+//! (flipping the windows a moved interval crossed, or a columnar sweep or
+//! sorted-projection range query), and the full match set
+//! is a selectivity-ordered word-wise AND. The crowding victim is then
+//! chosen from the match set alone, and the offspring is fitted only while
+//! it can still beat that victim. Results are bit-identical to the
 //! from-scratch fused evaluation — the toggle changes wall-clock only.
 
 use crate::bitset::MatchBitset;
@@ -23,7 +26,10 @@ use crate::fitness::FitnessParams;
 use crate::matchindex::MatchIndex;
 use crate::parallel::GramScratch;
 use crate::population::{GeneBitsets, Individual, Population};
-use crate::regress::{fit_from_accumulator, fit_via_bitset_with, rule_from_parts};
+use crate::regress::{
+    fit_from_accumulator, fit_from_accumulator_until, fit_via_bitset_with, prefit_prediction,
+    rule_from_parts,
+};
 use crate::rule::{Condition, Gene, Rule};
 use crate::{crossover, init, mutation, parallel, replacement, selection};
 use evoforecast_linalg::regression::RegressionOptions;
@@ -31,15 +37,38 @@ use evoforecast_tsdata::window::WindowedDataset;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Counters exposed for telemetry and tests.
+/// Counters exposed for telemetry and tests. All are deterministic: they
+/// count work, never time. The fields after `evaluations` cover the
+/// steady-state generations of the delta path only (they stay zero with
+/// [`EngineConfig::use_delta_eval`] off) and show where that path saves its
+/// work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Steady-state generations executed.
     pub generations: usize,
     /// Offspring that entered the population.
     pub replacements: usize,
-    /// Full offspring evaluations performed (match + regression).
+    /// Individuals evaluated: one per initial individual, then one offspring
+    /// per generation. An offspring counts once its match set is built and
+    /// its outcome decided — fitted, taken from a parent with the same match
+    /// set, or rejected before or during the fit.
     pub evaluations: usize,
+    /// Offspring rejected before any Gram work: even `e_R = 0` would not
+    /// beat the crowding victim.
+    pub fits_skipped: usize,
+    /// Offspring whose `e_R` pass stopped early: the running maximum
+    /// residual already ruled out beating the victim.
+    pub residual_stops: usize,
+    /// Matched rows accumulated into Gram matrices.
+    pub gram_rows: usize,
+    /// Mutated genes whose bitset was derived from the donor parent's by
+    /// flipping the interval's symmetric difference.
+    pub genes_toggled: usize,
+    /// Mutated bounded genes whose bitset was refilled from scratch (range
+    /// fill or columnar sweep).
+    pub genes_swept: usize,
+    /// Windows flipped by toggled refills.
+    pub rows_toggled: usize,
 }
 
 /// Early-stopping conditions for [`GenericEngine::run_until`].
@@ -330,13 +359,14 @@ impl<E: ExampleSet> GenericEngine<E> {
     }
 
     /// Delta offspring evaluation: tracked crossover copies per-gene bitsets
-    /// from the donor parent, tracked mutation recomputes only the rewritten
-    /// genes, the full match set is a selectivity-ordered AND, and the Gram /
-    /// `Xᵀy` are rebuilt over the resulting set bits through the standard
-    /// chunk discipline — or taken from a parent with the same match set.
-    /// Building the match set and accumulating the Gram allocate nothing: the
-    /// buffers live in [`DeltaState`] and are swapped — not cloned — into the
-    /// population slots on replacement.
+    /// from the donor parent, tracked mutation rederives only the rewritten
+    /// genes, and the full match set is a selectivity-ordered AND. The
+    /// crowding victim is chosen from the match set alone, before any fit,
+    /// and the Gram, solve and `e_R` pass run only while the offspring can
+    /// still beat that victim — or the part is taken from a parent with the
+    /// same match set. Building the match set and accumulating the Gram
+    /// allocate nothing: the buffers live in [`DeltaState`] and are swapped —
+    /// not cloned — into the population slots on replacement.
     fn offspring_delta(&mut self, ia: usize, ib: usize) -> bool {
         // audit: allow(panic-freedom) — delta is always restored before return; take/put pairs are local to this fn
         let mut delta = self.delta.take().expect("delta state present");
@@ -365,51 +395,80 @@ impl<E: ExampleSet> GenericEngine<E> {
         );
 
         // Assemble the offspring's per-gene bitsets: rewritten genes are
-        // recomputed, everything else is copied verbatim from whichever
+        // rederived, everything else is copied verbatim from whichever
         // parent donated the gene. `mutated` is ascending, so one forward
         // cursor suffices.
         let mut next_mutated = mutated.iter().copied().peekable();
         for (g, (&gene, &take_a)) in child.genes().iter().zip(from_a.iter()).enumerate() {
-            if next_mutated.peek() == Some(&g) {
-                next_mutated.next();
-                match gene {
-                    Gene::Wildcard => scratch_genes.set_wildcard(g),
-                    Gene::Bounded { lo, hi } => refill_gene(
-                        scratch_genes,
-                        g,
-                        lo,
-                        hi,
-                        columns,
-                        &self.data,
-                        self.index.as_ref(),
-                    ),
+            let donor = if take_a { ia } else { ib };
+            if next_mutated.peek() != Some(&g) {
+                scratch_genes.copy_gene_from(g, &gene_sets[donor]);
+                continue;
+            }
+            next_mutated.next();
+            let Gene::Bounded { lo, hi } = gene else {
+                scratch_genes.set_wildcard(g);
+                continue;
+            };
+            // A gene that was bounded in its donor starts from the donor's
+            // bitset and flips only the windows the mutation moved across.
+            let toggle_from = match self.population.get(donor).rule.condition.genes()[g] {
+                Gene::Bounded { lo, hi } => gene_sets[donor].bitset(g).map(|bits| ((lo, hi), bits)),
+                Gene::Wildcard => None,
+            };
+            let index = self.index.as_ref();
+            match refill_gene(
+                scratch_genes,
+                g,
+                (lo, hi),
+                columns,
+                &self.data,
+                index,
+                toggle_from,
+            ) {
+                Some(flips) => {
+                    self.stats.genes_toggled += 1;
+                    self.stats.rows_toggled += flips;
                 }
-            } else {
-                let donor = if take_a {
-                    &gene_sets[ia]
-                } else {
-                    &gene_sets[ib]
-                };
-                scratch_genes.copy_gene_from(g, donor);
+                None => self.stats.genes_swept += 1,
             }
         }
         scratch_genes.intersect_into(scratch_full);
-
-        let rule = self.offspring_rule(child, scratch_full, [ia, ib], gram);
-        let fit = self.config.fitness.fitness(rule.matched, rule.error);
-        let offspring = Individual { rule, fitness: fit };
         self.stats.evaluations += 1;
 
+        // The crowding coordinate is a function of the match set alone, so
+        // the victim is known before any fit. Fitting draws no random
+        // numbers: `ReplaceRandom` draws the same sequence as the rescan path.
+        let twin = self.twin(scratch_full, [ia, ib]);
+        let (matched, prediction) = match twin {
+            Some(k) => {
+                let parent = &self.population.get(k).rule;
+                (parent.matched, parent.prediction)
+            }
+            None => prefit_prediction(scratch_full, &self.data),
+        };
         let victim = replacement::choose_victim(
             self.config.replacement,
             &self.population,
-            offspring.rule.prediction,
+            prediction,
             &mut self.rng,
         );
-        let victim_viable = !self
-            .config
-            .fitness
-            .is_unfit(self.population.get(victim).fitness);
+        let rival = self.population.get(victim).fitness;
+        let rule = match twin {
+            Some(k) => Some(self.twin_rule(child, k)),
+            None => self.fit_offspring(child, scratch_full, matched, rival, gram),
+        };
+        let Some(rule) = rule else {
+            // Rejected before or during its fit: `try_replace` needs a
+            // strictly higher fitness, which this offspring cannot reach.
+            self.delta = Some(delta);
+            return false;
+        };
+        debug_assert_eq!(rule.prediction.to_bits(), prediction.to_bits());
+        let fit = self.config.fitness.fitness(rule.matched, rule.error);
+        let offspring = Individual { rule, fitness: fit };
+
+        let victim_viable = !self.config.fitness.is_unfit(rival);
         let offspring_viable = !self.config.fitness.is_unfit(offspring.fitness);
         let replaced = replacement::try_replace(&mut self.population, victim, offspring);
 
@@ -435,38 +494,68 @@ impl<E: ExampleSet> GenericEngine<E> {
         replaced
     }
 
-    /// Derive the rule of an offspring whose match set is `matched`. The
-    /// predicting part is a pure function of the match set, so when it equals
-    /// a parent's (compared word by word, stopping at the first difference)
-    /// the offspring takes that parent's part instead of refitting it —
-    /// bit-identical by construction. Otherwise the part is fitted over the
-    /// set bits.
-    fn offspring_rule(
-        &self,
+    /// The parent whose match set equals `matched` (compared word by word,
+    /// stopping at the first difference), if any.
+    fn twin(&self, matched: &MatchBitset, parents: [usize; 2]) -> Option<usize> {
+        parents
+            .into_iter()
+            .find(|&k| self.match_sets[k] == *matched)
+    }
+
+    /// The rule of an offspring whose match set equals parent `k`'s. The
+    /// predicting part is a pure function of the match set, so the offspring
+    /// takes the parent's part instead of refitting it — bit-identical by
+    /// construction.
+    fn twin_rule(&self, child: Condition, k: usize) -> Rule {
+        let parent = &self.population.get(k).rule;
+        Rule {
+            condition: child,
+            coefficients: parent.coefficients.clone(),
+            intercept: parent.intercept,
+            prediction: parent.prediction,
+            error: parent.error,
+            matched: parent.matched,
+        }
+    }
+
+    /// Fit an offspring with `count` matched windows over the set bits of
+    /// `matched`, as long as it can still be strictly fitter than `rival`
+    /// (the victim's fitness). Returns `None` — having skipped the Gram, or
+    /// stopped the `e_R` pass — once it cannot: the fitness only falls as
+    /// `e_R` grows ([`FitnessParams::may_beat`]), so every offspring dropped
+    /// here would have been rejected by `try_replace` anyway.
+    fn fit_offspring(
+        &mut self,
         child: Condition,
         matched: &MatchBitset,
-        parents: [usize; 2],
+        count: usize,
+        rival: f64,
         gram: &mut GramScratch,
-    ) -> Rule {
-        if let Some(&k) = parents.iter().find(|&&k| self.match_sets[k] == *matched) {
-            let parent = &self.population.get(k).rule;
-            return Rule {
-                condition: child,
-                coefficients: parent.coefficients.clone(),
-                intercept: parent.intercept,
-                prediction: parent.prediction,
-                error: parent.error,
-                matched: parent.matched,
-            };
+    ) -> Option<Rule> {
+        let fitness = self.config.fitness;
+        if !fitness.may_beat(count, 0.0, rival) {
+            self.stats.fits_skipped += 1;
+            return None;
         }
-        let (count, model) = fit_via_bitset_with(
+        let acc = parallel::accumulate_bitset_into(
             matched,
             &self.data,
-            RegressionOptions::fast(),
             self.config.parallel_threshold,
             gram,
         );
-        rule_from_parts(child, model, count)
+        debug_assert_eq!(acc.count(), count);
+        self.stats.gram_rows += count;
+        let opts = RegressionOptions::fast();
+        let model = fit_from_accumulator_until(acc, matched, &self.data, opts, |error| {
+            !fitness.may_beat(count, error, rival)
+        });
+        match model {
+            Some(model) => Some(rule_from_parts(child, model, count)),
+            None => {
+                self.stats.residual_stops += 1;
+                None
+            }
+        }
     }
 
     /// Run the configured number of generations and return the final rule
@@ -645,27 +734,40 @@ fn evaluate_condition<E: ExampleSet>(
     (Individual { rule, fitness: fit }, bits)
 }
 
-/// Recompute one bounded gene's bitset. Narrow intervals go through the
-/// sorted-projection range query (`O(log N + K)`); broad ones — or runs
-/// without an index — through the cache-friendly columnar sweep (`O(N)`).
-/// Both produce the exact [`Gene::accepts`] member set.
+/// Rederive one bounded gene's bitset for the interval `[lo, hi]`. With
+/// `toggle_from` — the gene's previous interval and its member set — and an
+/// index, the bitset starts from that set and flips only the windows the
+/// interval moved across ([`MatchIndex::toggle_gene_bitset`]); the flip
+/// count is returned. Wider moves, or runs without the index, are refilled
+/// from scratch and return `None`: narrow intervals through the
+/// sorted-projection range query (`O(log N + K)`), broad ones through the
+/// cache-friendly columnar sweep (`O(N)`). Every route produces the exact
+/// [`Gene::accepts`] member set.
 fn refill_gene<E: ExampleSet>(
     gene_sets: &mut GeneBitsets,
     g: usize,
-    lo: f64,
-    hi: f64,
+    (lo, hi): (f64, f64),
     columns: &ColumnStore,
     data: &E,
     index: Option<&MatchIndex>,
-) {
+    toggle_from: Option<((f64, f64), &MatchBitset)>,
+) -> Option<usize> {
+    let mut flips = None;
     gene_sets.recompute_with(g, |bits| {
         if let Some(idx) = index {
+            if let Some((old, from)) = toggle_from {
+                flips = idx.toggle_gene_bitset(g, old, (lo, hi), from, bits);
+                if flips.is_some() {
+                    return;
+                }
+            }
             if idx.fill_gene_bitset(g, lo, hi, bits) {
                 return;
             }
         }
         dataset::fill_gene_bitset(columns.column(data, g), lo, hi, bits);
     });
+    flips
 }
 
 /// Build a condition's whole per-gene bitset family from scratch — the init
@@ -678,7 +780,7 @@ fn build_gene_sets<E: ExampleSet>(
 ) -> GeneBitsets {
     let mut gs = GeneBitsets::new(condition.len(), data.len());
     for (g, lo, hi) in condition.bounded() {
-        refill_gene(&mut gs, g, lo, hi, columns, data, index);
+        refill_gene(&mut gs, g, (lo, hi), columns, data, index, None);
     }
     gs
 }
@@ -849,6 +951,64 @@ mod tests {
     }
 
     #[test]
+    fn delta_path_matches_the_rescan_oracle_for_every_replacement_strategy() {
+        // Venice at the paper's D = 24 with population 100: long enough that
+        // offspring are rejected before their fit and during their e_R pass,
+        // and that mutated genes are both toggled and refilled. The delta
+        // path decides the victim before fitting; the rescan oracle fits
+        // first. Both must evolve the same rules, for every strategy —
+        // `ReplaceRandom` draws its victim at a different point in the code
+        // but from the same RNG state.
+        use crate::replacement::ReplacementStrategy;
+        use evoforecast_tsdata::gen::venice::VeniceTide;
+        let series = VeniceTide::default().generate(800, 2007).into_values();
+        let spec = WindowSpec::new(24, 4).unwrap();
+        for strategy in [
+            ReplacementStrategy::Crowding,
+            ReplacementStrategy::ReplaceWorst,
+            ReplacementStrategy::ReplaceRandom,
+        ] {
+            let base = EngineConfig::for_series(&series, spec)
+                .with_population(100)
+                .with_generations(2_000)
+                .with_seed(2035)
+                .with_replacement(strategy);
+            let mut rescan_cfg = base.clone();
+            rescan_cfg.use_delta_eval = false;
+            let mut delta = Engine::new(base, &series).unwrap();
+            let mut rescan = Engine::new(rescan_cfg, &series).unwrap();
+            let rules = delta.run();
+            assert_eq!(rules, rescan.run(), "{strategy:?}");
+            let (d, r) = (delta.stats(), rescan.stats());
+            assert_eq!(
+                (d.generations, d.replacements, d.evaluations),
+                (r.generations, r.replacements, r.evaluations),
+                "{strategy:?}"
+            );
+            let shortcuts = [
+                d.replacements,
+                d.fits_skipped,
+                d.residual_stops,
+                d.gram_rows,
+                d.genes_toggled,
+                d.genes_swept,
+                d.rows_toggled,
+            ];
+            assert!(shortcuts.iter().all(|&c| c > 0), "{strategy:?}: {d:?}");
+            // The oracle takes none of the shortcuts.
+            assert_eq!(
+                EngineStats {
+                    generations: r.generations,
+                    replacements: r.replacements,
+                    evaluations: r.evaluations,
+                    ..EngineStats::default()
+                },
+                r
+            );
+        }
+    }
+
+    #[test]
     fn delta_parallel_threshold_does_not_change_results() {
         let series = noisy_sine(600, 25.0, 1.0, 0.05, 19);
         let spec = WindowSpec::new(4, 1).unwrap();
@@ -926,7 +1086,8 @@ mod tests {
                 &rule_from_parts(parent.condition.clone(), model, count),
                 &parent,
             );
-            let twin = e.offspring_rule(child.clone(), &set, [ia, ib], &mut gram);
+            assert_eq!(e.twin(&set, [ia, ib]), Some(k));
+            let twin = e.twin_rule(child.clone(), k);
             assert_rule_bits(
                 &twin,
                 &Rule {
@@ -939,7 +1100,7 @@ mod tests {
             let mut doctored = e.population.get(k).clone();
             doctored.rule.error = 12345.0;
             e.population.replace(k, doctored);
-            let twin = e.offspring_rule(child.clone(), &set, [ia, ib], &mut gram);
+            let twin = e.twin_rule(child.clone(), k);
             assert_eq!(twin.error, 12345.0);
             assert_eq!(twin.condition, child);
         }
@@ -947,9 +1108,46 @@ mod tests {
         let mut other = e.match_sets[ia].clone();
         other.union_with(&e.match_sets[ib]);
         assert!(other != e.match_sets[ia] && other != e.match_sets[ib]);
+        assert_eq!(e.twin(&other, [ia, ib]), None);
         let (count, model) = fit_via_bitset(&other, &e.data, opts, usize::MAX);
-        let fitted = e.offspring_rule(child.clone(), &other, [ia, ib], &mut gram);
+        let fitted = e
+            .fit_offspring(child.clone(), &other, count, f64::NEG_INFINITY, &mut gram)
+            .unwrap();
         assert_rule_bits(&fitted, &rule_from_parts(child, model, count));
+    }
+
+    #[test]
+    fn offspring_that_cannot_win_is_dropped_before_or_during_its_fit() {
+        let series = noisy_sine(700, 25.0, 1.0, 0.08, 17);
+        let mut e = engine_on(series.values(), 0, 23);
+        let opts = RegressionOptions::fast();
+        let mut gram = GramScratch::new(4, opts.intercept);
+        let child = Condition::all_wildcards(4);
+        let set = e.match_sets[3].clone();
+        let (count, model) = fit_via_bitset(&set, &e.data, opts, usize::MAX);
+        let error = model.unwrap().error;
+        let fitness = e.config().fitness;
+        let own = fitness.fitness(count, error);
+        assert!(!fitness.is_unfit(own) && error > 0.0);
+        // A rival at the fitness of e_R = 0 cannot be beaten: no Gram work.
+        let top = fitness.fitness(count, 0.0);
+        assert!(e
+            .fit_offspring(child.clone(), &set, count, top, &mut gram)
+            .is_none());
+        assert_eq!((e.stats.fits_skipped, e.stats.gram_rows), (1, 0));
+        // A rival at the offspring's own fitness stops the e_R pass once the
+        // running maximum reaches the full e_R.
+        assert!(e
+            .fit_offspring(child.clone(), &set, count, own, &mut gram)
+            .is_none());
+        assert_eq!((e.stats.residual_stops, e.stats.gram_rows), (1, count));
+        // Just below it, the fit runs to the end.
+        let below = own - own.abs() * 1e-9;
+        let rule = e
+            .fit_offspring(child, &set, count, below, &mut gram)
+            .unwrap();
+        assert_eq!(rule.error.to_bits(), error.to_bits());
+        assert_eq!(e.stats.residual_stops, 1);
     }
 
     #[test]
@@ -1170,7 +1368,7 @@ mod tests {
                 match new_gene {
                     Gene::Wildcard => gs.set_wildcard(g),
                     Gene::Bounded { lo, hi } => {
-                        refill_gene(&mut gs, g, lo, hi, &columns, &ds, index.as_ref())
+                        refill_gene(&mut gs, g, (lo, hi), &columns, &ds, index.as_ref(), None);
                     }
                 }
                 let mut full = MatchBitset::new(nwin);

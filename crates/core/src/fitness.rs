@@ -49,6 +49,21 @@ impl FitnessParams {
         }
     }
 
+    /// Whether a rule with `matched` windows and an error of *at least*
+    /// `error_floor` may still be strictly fitter than `rival` — the bound
+    /// that lets the engine reject an offspring before fitting it, or while
+    /// its `e_R` pass runs. `false` means no error `e ≥ error_floor` can win:
+    ///
+    /// * when `fitness(matched, e)` is regular, so is
+    ///   `fitness(matched, error_floor)`, and `matched·EMAX − e ≤
+    ///   matched·EMAX − error_floor` because round-to-nearest subtraction is
+    ///   monotone;
+    /// * when it is `f_min`, the second test covers it.
+    #[inline]
+    pub(crate) fn may_beat(&self, matched: usize, error_floor: f64, rival: f64) -> bool {
+        self.fitness(matched, error_floor) > rival || self.f_min > rival
+    }
+
     /// Is a fitness value the unusable-rule sentinel?
     #[inline]
     pub fn is_unfit(&self, fitness: f64) -> bool {
@@ -143,6 +158,29 @@ mod tests {
         ) {
             let p = FitnessParams::new(emax);
             prop_assert!(p.fitness(n, err_frac * emax) > p.f_min);
+        }
+
+        #[test]
+        fn may_beat_is_false_only_when_no_larger_error_wins(
+            emax in 0.1..100.0f64,
+            f_min_sel in 0usize..3,
+            n in 0usize..50,
+            floor_frac in 0.0..1.5f64,
+            extra_frac in 0.0..1.5f64,
+            rival_sel in 0usize..3,
+            rival_frac in -1.0..60.0f64,
+        ) {
+            // f_min = 30·EMAX sits above some regular fitness values: the
+            // bound must hold for any configured sentinel.
+            let f_min = [-1e12, 0.0, 30.0 * emax][f_min_sel];
+            let p = FitnessParams { emax, f_min };
+            let floor = floor_frac * emax;
+            let rival = [p.f_min, rival_frac * emax, p.fitness(n, floor)][rival_sel];
+            if !p.may_beat(n, floor, rival) {
+                let error = floor + extra_frac * emax;
+                prop_assert!(p.fitness(n, error) <= rival);
+                prop_assert!(p.fitness(n, f64::INFINITY) <= rival);
+            }
         }
     }
 }

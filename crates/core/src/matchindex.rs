@@ -27,6 +27,12 @@ use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
 /// more than this fraction of the windows.
 pub const SCAN_FRACTION: f64 = 0.5;
 
+/// [`MatchIndex::toggle_gene_bitset`] declines when more than this fraction
+/// of the windows would flip: past it, scattering that many random bit flips
+/// costs more than a fresh range fill or columnar sweep (measured crossover,
+/// DESIGN.md §10).
+pub const TOGGLE_FRACTION: f64 = 0.25;
+
 /// Per-position sorted projections of an example set.
 #[derive(Debug, Clone)]
 pub struct MatchIndex {
@@ -201,6 +207,50 @@ impl MatchIndex {
             out.set(id as usize);
         }
         true
+    }
+
+    /// Derive the member set of `[lo, hi]` at position `p` from `from`, the
+    /// member set of `old = (old_lo, old_hi)` at the same position, by
+    /// flipping only the windows whose membership differs. Writes the result
+    /// to `out` and returns how many windows flipped; returns `None` —
+    /// leaving `out` untouched — when more than [`TOGGLE_FRACTION`] of the
+    /// windows would flip, where a fresh fill is cheaper.
+    ///
+    /// Both intervals are position ranges of the sorted projection:
+    /// `[a0, a1)` for the old one and `[b0, b1)` for the new one. Their
+    /// symmetric difference is the XOR of `[min(a0, b0), max(a0, b0))` and
+    /// `[min(a1, b1), max(a1, b1))`, whether the intervals overlap, touch or
+    /// are disjoint; flipping the ids of both ranges therefore yields the
+    /// exact [`MatchIndex::fill_gene_bitset`] member set.
+    ///
+    /// # Panics
+    /// Panics when a bitset's universe differs from the indexed example
+    /// count. The result is only meaningful when `from` is the member set of
+    /// `old`.
+    pub fn toggle_gene_bitset(
+        &self,
+        p: usize,
+        old: (f64, f64),
+        new: (f64, f64),
+        from: &MatchBitset,
+        out: &mut MatchBitset,
+    ) -> Option<usize> {
+        assert_eq!(from.len(), self.examples, "bitset universe mismatch");
+        assert_eq!(out.len(), self.examples, "bitset universe mismatch");
+        let (a0, a1) = self.range_of(p, old.0, old.1);
+        let (b0, b1) = self.range_of(p, new.0, new.1);
+        let spans = [(a0.min(b0), a0.max(b0)), (a1.min(b1), a1.max(b1))];
+        let flips: usize = spans.iter().map(|&(s, e)| e - s).sum();
+        if flips as f64 > TOGGLE_FRACTION * self.examples as f64 {
+            return None;
+        }
+        out.copy_from(from);
+        for (s, e) in spans {
+            for &(_, id) in &self.projections[p][s..e] {
+                out.flip(id as usize);
+            }
+        }
+        Some(flips)
     }
 }
 
@@ -393,6 +443,120 @@ mod tests {
         let index = MatchIndex::build(&ds);
         let cond = Condition::new(vec![Gene::bounded(3.0, 5.0), Gene::Wildcard]);
         assert_eq!(index.match_indices(&cond, &ds), vec![3, 4, 5]);
+    }
+
+    /// The interval a toggle moves to, in terms of the old one `[lo, hi]`.
+    fn moved_interval(kind: usize, lo: f64, hi: f64, step: f64) -> (f64, f64) {
+        match kind {
+            0 => (lo, hi),                                   // equal
+            1 => (hi, hi + step),                            // touching at `hi`
+            2 => (hi + step + 0.25, hi + 2.0 * step + 0.25), // disjoint
+            3 => (0.5 * (lo + hi), 0.5 * (lo + hi)),         // shrunk to a point
+            4 => (lo - 100.0, hi + 100.0),                   // enlarged past the data
+            5 => (lo - step, hi - step),                     // moved down
+            _ => {
+                // shrunk, never past the midpoint (as mutation does)
+                let s = step.min(0.5 * (hi - lo));
+                (lo + s, hi - s)
+            }
+        }
+    }
+
+    /// One value of a quarter-step grid over [-2, 2]: duplicates galore,
+    /// and the zero comes as `+0.0` or `-0.0`.
+    fn grid_value(k: u64) -> f64 {
+        match k % 18 {
+            16 => 0.0,
+            17 => -0.0,
+            q => (q as f64 - 8.0) / 4.0,
+        }
+    }
+
+    #[test]
+    fn toggled_refill_covers_signed_zero_endpoints() {
+        // Windows hold -0.0, +0.0 and neighbours; ±0 endpoints admit both
+        // zeros, so moving [-0.0, x] to [+0.0, x] flips nothing.
+        let values = [-0.0, 0.0, -0.25, 0.25, 0.0, -0.0, 0.5, -0.5];
+        let ds = crate::dataset::TabularExamples::new(
+            evoforecast_linalg::Matrix::from_fn(values.len(), 1, |i, _| values[i]),
+            vec![1.0; values.len()],
+        )
+        .unwrap();
+        let index = MatchIndex::build(&ds);
+        let mut from = MatchBitset::new(values.len());
+        let mut out = MatchBitset::new(values.len());
+        crate::dataset::fill_gene_bitset(ds.column(0).unwrap(), -0.0, 0.0, &mut from);
+        assert_eq!(from.to_indices(), vec![0, 1, 4, 5]);
+        assert_eq!(
+            index.toggle_gene_bitset(0, (-0.0, 0.0), (0.0, -0.0), &from, &mut out),
+            Some(0)
+        );
+        assert_eq!(out, from);
+        assert_eq!(
+            index.toggle_gene_bitset(0, (-0.0, 0.0), (-0.0, 0.25), &from, &mut out),
+            Some(1)
+        );
+        assert_eq!(out.to_indices(), vec![0, 1, 3, 4, 5]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn toggled_refill_equals_a_fresh_fill(
+            n in 8usize..400,
+            seed in 0u64..1_000_000,
+            lo_k in 0u64..18,
+            width_k in 0u64..12,
+            kind in 0usize..7,
+            step_k in 1u64..6,
+            zero_lo in 0u8..2,
+        ) {
+            let mut state = seed;
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    grid_value(state >> 33)
+                })
+                .collect();
+            let ds = crate::dataset::TabularExamples::new(
+                evoforecast_linalg::Matrix::from_fn(n, 1, |i, _| values[i]),
+                vec![0.0; n],
+            )
+            .unwrap();
+            let index = MatchIndex::build(&ds);
+            let mut lo = grid_value(lo_k) - 0.25;
+            if zero_lo == 1 && lo == 0.0 {
+                lo = -0.0;
+            }
+            let hi = lo + width_k as f64 / 4.0;
+            let new = moved_interval(kind, lo, hi, step_k as f64 / 8.0);
+            let fresh = |(a, b): (f64, f64)| {
+                let mut bits = MatchBitset::new(n);
+                crate::dataset::fill_gene_bitset(ds.column(0).unwrap(), a, b, &mut bits);
+                bits
+            };
+            let from = fresh((lo, hi));
+            let expect = fresh(new);
+            let mut out = MatchBitset::from_indices(n, &[n - 1]);
+            let before = out.clone();
+            match index.toggle_gene_bitset(0, (lo, hi), new, &from, &mut out) {
+                Some(flips) => {
+                    prop_assert_eq!(&out, &expect);
+                    prop_assert!(flips as f64 <= TOGGLE_FRACTION * n as f64);
+                    let mut differ = from.clone();
+                    differ.union_with(&expect);
+                    let mut both = from.clone();
+                    both.intersect_with(&expect);
+                    let symmetric = differ.count_ones() - both.count_ones();
+                    prop_assert!(flips >= symmetric);
+                }
+                None => {
+                    prop_assert_eq!(&out, &before, "a declined toggle leaves `out` untouched");
+                }
+            }
+        }
     }
 
     proptest! {

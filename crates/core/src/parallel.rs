@@ -293,6 +293,35 @@ pub(crate) fn accumulate_bitset_into<'s, E: ExampleSet>(
     total
 }
 
+/// `N_R` and `Σy` of a match set without any Gram work — the inputs of the
+/// engine's pre-fit crowding decision. The targets are added exactly as the
+/// accumulators of [`accumulate_from_bitset`] add them: each [`GRAM_CHUNK`]
+/// sums its rows in ascending window order from `+0.0`, and the chunk sums
+/// fold into `+0.0` in ascending chunk order, skipping empty chunks. The
+/// sum is therefore bit-identical to that accumulation's
+/// [`NormalEqAccumulator::sum_targets`], on either side of its fan-out.
+pub(crate) fn count_and_sum_targets<E: ExampleSet>(bits: &MatchBitset, data: &E) -> (usize, f64) {
+    debug_assert_eq!(bits.len(), data.len(), "bitset universe mismatch");
+    let (mut count, mut total) = (0usize, 0.0_f64);
+    for (c, words) in bits.words().chunks(GRAM_CHUNK / 64).enumerate() {
+        let (mut rows, mut part) = (0usize, 0.0_f64);
+        for (wi, &word) in words.iter().enumerate() {
+            let base = (c * (GRAM_CHUNK / 64) + wi) * 64;
+            let mut w = word;
+            while w != 0 {
+                part += data.target(base + w.trailing_zeros() as usize);
+                rows += 1;
+                w &= w - 1;
+            }
+        }
+        if rows > 0 {
+            total += part;
+            count += rows;
+        }
+    }
+    (count, total)
+}
+
 /// Matched windows as a bitset (no regression accumulation) — used for the
 /// ensemble's incremental coverage union. Chunked and parallelized like
 /// [`match_and_accumulate`].

@@ -133,25 +133,37 @@ impl GeneBitsets {
     /// early as possible, with a hard exit the moment it goes all-zero.
     /// All-wildcard conditions yield the full universe. `O(B · N/64)` word
     /// ops worst case for `B` bounded genes.
+    ///
+    /// Allocates nothing: instead of sorting a list of genes, each round
+    /// picks the next gene in `(members, gene index)` order with one pass
+    /// over the `D` slots — `O(B · D)` comparisons, a rounding error next to
+    /// the word-wise ANDs — so the order equals a sort by that key.
     pub fn intersect_into(&self, out: &mut MatchBitset) {
-        let mut order: Vec<(usize, usize)> = self
-            .slots
+        let mut last: Option<(usize, usize)> = None;
+        while let Some(key) = self.next_by_selectivity(last) {
+            let bits = &self.slots[key.1].bits;
+            if last.is_none() {
+                out.copy_from(bits);
+            } else if !out.intersect_with(bits) {
+                return; // running set is empty; remaining ANDs are no-ops
+            }
+            last = Some(key);
+        }
+        if last.is_none() {
+            out.fill_all();
+        }
+    }
+
+    /// The smallest `(members, gene index)` key of a bounded gene that is
+    /// greater than `after` (any key when `after` is `None`).
+    fn next_by_selectivity(&self, after: Option<(usize, usize)>) -> Option<(usize, usize)> {
+        self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.active)
             .map(|(g, s)| (s.ones, g))
-            .collect();
-        if order.is_empty() {
-            out.fill_all();
-            return;
-        }
-        order.sort_unstable();
-        out.copy_from(&self.slots[order[0].1].bits);
-        for &(_, g) in &order[1..] {
-            if !out.intersect_with(&self.slots[g].bits) {
-                return; // running set is empty; remaining ANDs are no-ops
-            }
-        }
+            .filter(|&key| after.is_none_or(|a| key > a))
+            .min()
     }
 }
 
@@ -395,6 +407,12 @@ mod tests {
             let mut out = MatchBitset::new(200);
             gs.intersect_into(&mut out);
             assert_eq!(out.to_indices(), vec![100]);
+
+            // Every AND removes members, the broadest gene's last.
+            gs.recompute_with(0, fill_indices(&[2, 3, 4, 5, 6, 7, 150]));
+            gs.recompute_with(1, fill_indices(&[2, 3, 100, 150]));
+            gs.intersect_into(&mut out);
+            assert_eq!(out.to_indices(), vec![2, 150]);
 
             // Disjoint genes: the running set dies and the result is empty.
             gs.recompute_with(1, fill_indices(&[199]));

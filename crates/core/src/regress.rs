@@ -26,7 +26,9 @@
 //! only the accumulate + solve half runs, rebuilding the Gram by iterating
 //! the set bits through the same chunk discipline
 //! ([`crate::parallel::accumulate_from_bitset`]) — results stay bit-identical
-//! to the fused scan.
+//! to the fused scan. The engine also asks for the crowding coordinate `p`
+//! before any fit (`prefit_prediction`) and may stop the `e_R` pass early
+//! once the offspring cannot win (`fit_from_accumulator_until`).
 //!
 //! To keep results bit-identical across the sequential, rayon-parallel and
 //! index-accelerated matchers, accumulation is chunked: windows are grouped
@@ -143,9 +145,27 @@ pub fn fit_from_accumulator<E: ExampleSet>(
     data: &E,
     opts: RegressionOptions,
 ) -> Option<FittedPart> {
+    // A residual pass that never gives up always runs to the end, so the
+    // outer `None` (stopped early) cannot occur.
+    fit_from_accumulator_until(acc, matched, data, opts, |_| false).flatten()
+}
+
+/// [`fit_from_accumulator`] with a bounded `e_R` pass: `give_up` sees the
+/// running maximum residual each time it grows, and the pass stops as soon
+/// as it returns `true`. Returns `None` when it stopped (the part is
+/// abandoned), else `Some` of exactly what [`fit_from_accumulator`]
+/// returns. The running maximum only grows, so a `give_up` that is monotone
+/// in it stops exactly the fits whose full `e_R` it would also reject.
+pub(crate) fn fit_from_accumulator_until<E: ExampleSet>(
+    acc: &NormalEqAccumulator,
+    matched: &MatchBitset,
+    data: &E,
+    opts: RegressionOptions,
+    give_up: impl Fn(f64) -> bool,
+) -> Option<Option<FittedPart>> {
     let count = acc.count();
     if count == 0 {
-        return None;
+        return Some(None);
     }
     let d = data.feature_len();
     let mean_target = acc.sum_targets() / count as f64;
@@ -153,42 +173,75 @@ pub fn fit_from_accumulator<E: ExampleSet>(
     if count == 1 {
         // audit: allow(panic-freedom) — guarded by `count == 1` on the previous line, so one set bit exists
         let i = matched.iter_ones().next().expect("count == 1");
-        return Some(FittedPart {
+        return Some(Some(FittedPart {
             coefficients: vec![0.0; d],
             intercept: data.target(i),
             prediction: data.target(i),
             error: 0.0,
-        });
+        }));
     }
 
-    match acc.solve(opts.ridge_lambda) {
+    let part = match acc.solve(opts.ridge_lambda) {
         Ok(fit) => {
-            // e_R over matched rows only. f64::max is exact, so this fold is
-            // order-insensitive — any match path yields the same maximum.
-            let error = matched
-                .iter_ones()
-                .map(|i| (data.target(i) - fit.predict(data.features(i))).abs())
-                .fold(0.0_f64, f64::max);
-            Some(FittedPart {
+            let error = max_abs_residual(matched, give_up, |i| {
+                data.target(i) - fit.predict(data.features(i))
+            })?;
+            FittedPart {
                 coefficients: fit.coefficients().to_vec(),
                 intercept: fit.intercept(),
                 prediction: mean_target,
                 error,
-            })
+            }
         }
         Err(_) => {
-            let error = matched
-                .iter_ones()
-                .map(|i| (data.target(i) - mean_target).abs())
-                .fold(0.0_f64, f64::max);
-            Some(FittedPart {
+            let error = max_abs_residual(matched, give_up, |i| data.target(i) - mean_target)?;
+            FittedPart {
                 coefficients: vec![0.0; d],
                 intercept: mean_target,
                 prediction: mean_target,
                 error,
-            })
+            }
+        }
+    };
+    Some(Some(part))
+}
+
+/// `e_R`: the maximum of `|residual(i)|` over the matched rows, from
+/// `0.0`, or `None` as soon as `give_up` accepts the running maximum. The
+/// maximum is exact and order-insensitive, so any match path yields the same
+/// value; it is updated only when a residual is strictly larger, which
+/// keeps the result of `fold(0.0, f64::max)` (a NaN residual never wins).
+fn max_abs_residual(
+    matched: &MatchBitset,
+    give_up: impl Fn(f64) -> bool,
+    residual: impl Fn(usize) -> f64,
+) -> Option<f64> {
+    let mut error = 0.0_f64;
+    for i in matched.iter_ones() {
+        let r = residual(i).abs();
+        if r > error {
+            error = r;
+            if give_up(error) {
+                return None;
+            }
         }
     }
+    Some(error)
+}
+
+/// The crowding coordinate of a match set, before any fit: `(N_R, p)` with
+/// `p` the mean matched target — bit-identical to the `prediction` that
+/// [`fit_via_bitset`] and [`rule_from_parts`] give the same set (`0.0` for
+/// no match, the one target for a single match, `Σy / N_R` otherwise, with
+/// `Σy` summed in the accumulators' chunk order).
+pub(crate) fn prefit_prediction<E: ExampleSet>(matched: &MatchBitset, data: &E) -> (usize, f64) {
+    let (count, sum) = crate::parallel::count_and_sum_targets(matched, data);
+    let prediction = match count {
+        0 => 0.0,
+        1 => matched.iter_ones().next().map_or(0.0, |i| data.target(i)),
+        _ => sum / count as f64,
+    };
+    (count, prediction)
 }
 
 /// Derive the predicting part from an already-known match bitset — the
@@ -423,6 +476,67 @@ mod tests {
         let vals = ramp(10);
         let ds = WindowSpec::new(2, 1).unwrap().dataset(&vals).unwrap();
         assert!(fit_part(&[], &ds, RegressionOptions::default()).is_none());
+    }
+
+    #[test]
+    fn prefit_prediction_equals_the_fitted_mean_bit_for_bit() {
+        // Three GRAM_CHUNKs and a ragged fourth; targets of wildly mixed
+        // magnitude make the sum depend on its order, and signed zeros sit
+        // among them.
+        let n = 3 * GRAM_CHUNK + 100;
+        let mut state = 0x9e37_79b9_u64;
+        let targets: Vec<f64> = (0..n)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                match i % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => unit * 1e17,
+                    _ => unit,
+                }
+            })
+            .collect();
+        let features = Matrix::from_fn(n, 2, |i, j| (i * (j + 3) % 11) as f64);
+        let ds = crate::dataset::TabularExamples::new(features, targets).unwrap();
+        let opts = RegressionOptions::fast();
+        let mut sets = vec![
+            MatchBitset::new(n),
+            MatchBitset::from_indices(n, &[1]), // one row, target -0.0
+            MatchBitset::from_indices(n, &[2]),
+        ];
+        for stride in [1usize, 2, 3, 5, 64] {
+            let ids: Vec<usize> = (0..n).step_by(stride).collect();
+            sets.push(MatchBitset::from_indices(n, &ids));
+        }
+        // Every chunk but the second: an empty chunk in the middle.
+        let gapped: Vec<usize> = (0..n)
+            .filter(|i| i / GRAM_CHUNK != 1 && i % 3 != 0)
+            .collect();
+        sets.push(MatchBitset::from_indices(n, &gapped));
+        for set in &sets {
+            let (count, prediction) = prefit_prediction(set, &ds);
+            assert_eq!(count, set.count_ones());
+            let (fit_count, model) = fit_via_bitset(set, &ds, opts, usize::MAX);
+            let rule = rule_from_parts(Condition::all_wildcards(2), model, fit_count);
+            assert_eq!(
+                prediction.to_bits(),
+                rule.prediction.to_bits(),
+                "N = {count}"
+            );
+            if count > 1 {
+                for threshold in [usize::MAX, 1] {
+                    let acc = crate::parallel::accumulate_from_bitset(set, &ds, opts, threshold);
+                    let mean = acc.sum_targets() / acc.count() as f64;
+                    assert_eq!(prediction.to_bits(), mean.to_bits(), "N = {count}");
+                }
+            }
+        }
+        assert_eq!(prefit_prediction(&sets[0], &ds), (0, 0.0));
+        let (_, single) = prefit_prediction(&sets[1], &ds);
+        assert!(single == 0.0 && single.is_sign_negative());
     }
 
     mod properties {

@@ -4,17 +4,19 @@
 //! Everything here is small and deterministic: Miri interprets every
 //! instruction, so these tests trade breadth for being cheap enough to
 //! retire undefined-behavior risk in the word-twiddling kernels — the
-//! bitset, the tiled Gram accumulation, the compiled predictor's columnar
-//! scan, and the checkpoint
+//! bitset, the tiled Gram accumulation (with its folded intercept column),
+//! the toggled gene-bitset refill, the compiled predictor's columnar scan,
+//! and the checkpoint
 //! byte round-trip (the one test that touches the filesystem; the CI job
 //! sets `MIRIFLAGS=-Zmiri-disable-isolation` for it).
 
 use evoforecast_core::checkpoint::{
     fingerprint_json, EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHECKPOINT_VERSION,
 };
+use evoforecast_core::matchindex::MatchIndex;
 use evoforecast_core::prelude::*;
-use evoforecast_core::{parallel, CompiledRuleSet, ExampleSet, MatchBitset};
-use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
+use evoforecast_core::{dataset, parallel, CompiledRuleSet, ExampleSet, MatchBitset};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions, RowTile};
 use evoforecast_tsdata::window::WindowSpec;
 
 /// Tiny deterministic generator so the patterns exercise word boundaries
@@ -128,6 +130,77 @@ fn tiled_gram_accumulation_matches_row_by_row_pushes() {
     assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
     for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
         assert_eq!(x.to_bits(), y.to_bits());
+    }
+}
+
+#[test]
+fn intercept_folded_tile_matches_row_by_row_pushes() {
+    // p = 2 (one feature) and p = 5 (a full feature block): the intercept
+    // column is folded in outside the 4×4 blocks. 70 rows span one full
+    // tile and a ragged one; whole-unit values and signed zeros included.
+    let mut rng = Lcg(0x1ce);
+    for d in [1usize, 4] {
+        let mut by_row = NormalEqAccumulator::new(d, true);
+        let mut by_tile = NormalEqAccumulator::new(d, true);
+        let mut tile = RowTile::new(d, true);
+        for r in 0..70 {
+            let x: Vec<f64> = (0..d)
+                .map(|_| match rng.next() % 5 {
+                    0 => -0.0,
+                    k => k as f64 - 2.5,
+                })
+                .collect();
+            let y = (r % 7) as f64 - 3.0;
+            by_row.push_row(&x, y);
+            tile.push(&x, y);
+            if tile.is_full() {
+                by_tile.push_tile(&tile);
+                tile.clear();
+            }
+        }
+        by_tile.push_tile(&tile);
+        assert_eq!(by_tile.count(), by_row.count());
+        assert_eq!(
+            by_tile.sum_targets().to_bits(),
+            by_row.sum_targets().to_bits()
+        );
+        let (a, b) = (by_tile.solve(1e-6).unwrap(), by_row.solve(1e-6).unwrap());
+        assert_eq!(a.intercept().to_bits(), b.intercept().to_bits(), "d = {d}");
+        for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "d = {d}");
+        }
+    }
+}
+
+#[test]
+fn toggled_gene_refill_matches_a_fresh_fill() {
+    // 70 windows of one tap: two words and a ragged tail. Intervals that
+    // overlap, touch, nest and shrink to a point, all small enough moves
+    // to be toggled rather than refilled.
+    let mut rng = Lcg(0x70991e);
+    let values: Vec<f64> = (0..71).map(|_| (rng.next() % 80) as f64).collect();
+    let ds = WindowSpec::new(1, 1).unwrap().dataset(&values).unwrap();
+    let column: Vec<f64> = (0..ds.len()).map(|i| ds.features(i)[0]).collect();
+    let index = MatchIndex::build(&ds);
+    let fresh = |(lo, hi): (f64, f64)| {
+        let mut bits = MatchBitset::new(ds.len());
+        dataset::fill_gene_bitset(&column, lo, hi, &mut bits);
+        bits
+    };
+    let moves = [
+        ((10.0, 20.0), (12.0, 22.0)),
+        ((10.0, 20.0), (20.0, 23.0)),
+        ((10.0, 20.0), (11.0, 19.0)),
+        ((10.0, 20.0), (15.0, 15.0)),
+        ((10.0, 20.0), (10.0, 20.0)),
+        ((5.0, 6.0), (7.0, 8.0)),
+    ];
+    let mut out = MatchBitset::new(ds.len());
+    for (old, new) in moves {
+        let from = fresh(old);
+        let flips = index.toggle_gene_bitset(0, old, new, &from, &mut out);
+        assert!(flips.is_some(), "{old:?} -> {new:?} should toggle");
+        assert_eq!(out, fresh(new), "{old:?} -> {new:?}");
     }
 }
 

@@ -412,10 +412,10 @@ impl NormalEqAccumulator {
     /// Rank-k update with every row of `tile`: bit-identical to calling
     /// [`push_row`] on those rows in order, for finite input.
     ///
-    /// The upper triangle is computed in 4×4 register blocks. Each block
-    /// loads its Gram entries once, adds `x_a·x_b` for the tile's rows in
-    /// ascending row order, and stores back only the entries with
-    /// `a ≤ b < p`. Every entry therefore still receives its products one at
+    /// The feature part of the upper triangle is computed in 4×4 register
+    /// blocks. Each block loads its Gram entries once, adds `x_a·x_b` for the
+    /// tile's rows in ascending row order, and stores back only the entries
+    /// with `a ≤ b < d`. Every entry therefore still receives its products one at
     /// a time in ascending row order — the per-entry summation order is the
     /// only thing that fixes the result, so blocking changes no bit. Rust
     /// never contracts `a*b + c` into a fused multiply-add, so each step is
@@ -427,6 +427,14 @@ impl NormalEqAccumulator {
     /// operands are `-0.0`, so no entry ever becomes `-0.0` — and adding
     /// `±0` to a value that is not `-0.0` returns it unchanged. (A zero times
     /// an infinite `x_b` would be NaN; callers pass finite rows.)
+    ///
+    /// The blocks span the `d` feature columns only. The intercept column is
+    /// folded in separately: entry `(a, d)` adds `x_a` for each row in
+    /// ascending row order (four entries at a time), and `(d, d)` adds the
+    /// row count at once. Both are exact: [`push_row`] adds `x_a · 1.0`, and
+    /// `x · 1.0 == x` for every finite `x`, signed zeros and subnormals
+    /// included; `(d, d)` only ever holds an integer below 2⁵³, so adding
+    /// `rows` ones one by one or `rows` at once gives the same exact sum.
     ///
     /// `Xᵀy`, `Σy` and the count are updated per row, as in [`push_row`].
     /// The tile is left as it was; the caller clears it.
@@ -440,10 +448,11 @@ impl NormalEqAccumulator {
         assert_eq!(tile.d, self.d, "tile feature count differs");
         let p = self.xty.len();
         assert_eq!(tile.order, p, "tile intercept mode differs");
+        let d = self.d;
         let rows = &tile.values[..tile.rows * tile.stride];
-        for a0 in (0..p).step_by(4) {
-            for b0 in (a0..p).step_by(4) {
-                let stored = |i: usize, j: usize| a0 + i <= b0 + j && b0 + j < p;
+        for a0 in (0..d).step_by(4) {
+            for b0 in (a0..d).step_by(4) {
+                let stored = |i: usize, j: usize| a0 + i <= b0 + j && b0 + j < d;
                 let mut c = [[0.0_f64; 4]; 4];
                 for (i, ci) in c.iter_mut().enumerate() {
                     for (j, cij) in ci.iter_mut().enumerate() {
@@ -469,6 +478,28 @@ impl NormalEqAccumulator {
                     }
                 }
             }
+        }
+        if self.intercept {
+            for a0 in (0..d).step_by(4) {
+                let mut c = [0.0_f64; 4];
+                for (i, ci) in c.iter_mut().enumerate() {
+                    if a0 + i < d {
+                        *ci = self.gram[(a0 + i) * p + d];
+                    }
+                }
+                for row in rows.chunks_exact(tile.stride) {
+                    let (blocks, _) = row.as_chunks::<4>();
+                    for (ci, &x) in c.iter_mut().zip(&blocks[a0 / 4]) {
+                        *ci += x;
+                    }
+                }
+                for (i, &ci) in c.iter().enumerate() {
+                    if a0 + i < d {
+                        self.gram[(a0 + i) * p + d] = ci;
+                    }
+                }
+            }
+            self.gram[d * p + d] += tile.rows as f64;
         }
         for (row, &y) in rows.chunks_exact(tile.stride).zip(&tile.targets) {
             vector::axpy(y, &row[..p], &mut self.xty);
