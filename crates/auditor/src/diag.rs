@@ -77,5 +77,14 @@ mod tests {
         assert!(json.contains("\"files_scanned\""), "{json}");
         assert!(json.contains("\"determinism\""), "{json}");
         assert!(json.contains("\"clean\""), "{json}");
+        // The exact text, compact and pretty: reports are diffed across runs.
+        assert_eq!(
+            json,
+            r#"{"rules":["determinism"],"files_scanned":3,"diagnostics":[{"rule":"determinism","file":"x.rs","line":1,"message":"m"}],"clean":false}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&report).unwrap(),
+            "{\n  \"rules\": [\n    \"determinism\"\n  ],\n  \"files_scanned\": 3,\n  \"diagnostics\": [\n    {\n      \"rule\": \"determinism\",\n      \"file\": \"x.rs\",\n      \"line\": 1,\n      \"message\": \"m\"\n    }\n  ],\n  \"clean\": false\n}"
+        );
     }
 }

@@ -336,4 +336,111 @@ mod tests {
         let b = quick_spec().run().unwrap();
         assert_eq!(a, b);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn series_spec_round_trips(
+            csv in 0usize..2,
+            name_len in 0usize..12,
+            n in 0usize..usize::MAX,
+            seed in 0u64..u64::MAX,
+            pick in 0usize..6,
+        ) {
+            let text: String = ["a", "-", "\"", "\\", "é", "\n"][pick].repeat(name_len);
+            let spec = if csv == 1 {
+                SeriesSpec::Csv { path: text }
+            } else {
+                SeriesSpec::Generated { generator: text, n, seed }
+            };
+            for json in [
+                serde_json::to_string(&spec).unwrap(),
+                serde_json::to_string_pretty(&spec).unwrap(),
+            ] {
+                let back: SeriesSpec = serde_json::from_str(&json).unwrap();
+                proptest::prop_assert_eq!(&back, &spec);
+            }
+            // The tag may sit after the fields, and a missing seed defaults.
+            if let SeriesSpec::Generated { generator, n, .. } = &spec {
+                let reordered = format!(
+                    r#"{{"n": {n}, "generator": {}, "kind": "generated"}}"#,
+                    serde_json::to_string(generator).unwrap()
+                );
+                let back: SeriesSpec = serde_json::from_str(&reordered).unwrap();
+                proptest::prop_assert_eq!(
+                    back,
+                    SeriesSpec::Generated { generator: generator.clone(), n: *n, seed: 0 }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn json_text_is_pinned() {
+        // Byte-for-byte the text earlier releases wrote: saved specs and
+        // results stay comparable across versions.
+        let spec = ExperimentSpec {
+            name: "pinned \"spec\"".into(),
+            series: SeriesSpec::Csv {
+                path: "data/tides.csv".into(),
+            },
+            split_at: 4000,
+            window: 24,
+            horizon: 4,
+            spacing: 2,
+            normalize: NormalizeSpec::MinMax,
+            engine: EngineSpec {
+                population: 100,
+                generations: 75_000,
+                executions: 8,
+                emax_fraction: 0.125,
+                seed: 0x5EED,
+            },
+        };
+        let mut pairs = PairedErrors::new();
+        for (i, x) in [1.0f64, -0.5, 0.1, 2.5].iter().enumerate() {
+            pairs.record(*x, (i != 2).then_some(x * 0.75 + 0.3));
+        }
+        let result = ExperimentResult {
+            name: "pinned".into(),
+            rules: 12,
+            executions: 3,
+            training_coverage: 1.0 / 3.0,
+            report: EvaluationReport::from_paired("rules", 4, &pairs),
+        };
+        let generated = SeriesSpec::Generated {
+            generator: "venice".into(),
+            n: 45_000,
+            seed: 2007,
+        };
+        assert_eq!(
+            serde_json::to_string(&spec).unwrap(),
+            r#"{"name":"pinned \"spec\"","series":{"kind":"csv","path":"data/tides.csv"},"split_at":4000,"window":24,"horizon":4,"spacing":2,"normalize":"min-max","engine":{"population":100,"generations":75000,"executions":8,"emax_fraction":0.125,"seed":24301}}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&spec).unwrap(),
+            "{\n  \"name\": \"pinned \\\"spec\\\"\",\n  \"series\": {\n    \"kind\": \"csv\",\n    \"path\": \"data/tides.csv\"\n  },\n  \"split_at\": 4000,\n  \"window\": 24,\n  \"horizon\": 4,\n  \"spacing\": 2,\n  \"normalize\": \"min-max\",\n  \"engine\": {\n    \"population\": 100,\n    \"generations\": 75000,\n    \"executions\": 8,\n    \"emax_fraction\": 0.125,\n    \"seed\": 24301\n  }\n}"
+        );
+        assert_eq!(
+            serde_json::to_string(&result).unwrap(),
+            r#"{"name":"pinned","rules":12,"executions":3,"training_coverage":0.3333333333333333,"report":{"system":"rules","horizon":4,"total_points":4,"predicted_points":3,"coverage_pct":75.0,"rmse":0.3102418411497715,"nmse":0.06416666666666669,"half_mse":0.02406250000000001,"mae":0.2666666666666668,"max_abs_error":0.425}}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&result).unwrap(),
+            "{\n  \"name\": \"pinned\",\n  \"rules\": 12,\n  \"executions\": 3,\n  \"training_coverage\": 0.3333333333333333,\n  \"report\": {\n    \"system\": \"rules\",\n    \"horizon\": 4,\n    \"total_points\": 4,\n    \"predicted_points\": 3,\n    \"coverage_pct\": 75.0,\n    \"rmse\": 0.3102418411497715,\n    \"nmse\": 0.06416666666666669,\n    \"half_mse\": 0.02406250000000001,\n    \"mae\": 0.2666666666666668,\n    \"max_abs_error\": 0.425\n  }\n}"
+        );
+        assert_eq!(
+            serde_json::to_string(&generated).unwrap(),
+            r#"{"kind":"generated","generator":"venice","n":45000,"seed":2007}"#
+        );
+        for text in [
+            serde_json::to_string(&spec).unwrap(),
+            serde_json::to_string_pretty(&spec).unwrap(),
+        ] {
+            assert_eq!(ExperimentSpec::from_json(&text).unwrap(), spec);
+        }
+        let back: ExperimentResult =
+            serde_json::from_str(&serde_json::to_string(&result).unwrap()).unwrap();
+        assert_eq!(back, result);
+    }
 }

@@ -200,24 +200,22 @@ impl EnsembleCheckpoint {
     }
 
     /// Load and version-check a checkpoint file. The `version` field is read
-    /// before the full typed parse so layout drift reports as a version
-    /// mismatch, not a shape error.
+    /// first (a skip-scan that syntax-checks the whole file but builds
+    /// nothing else), so layout drift reports as a version mismatch, not a
+    /// shape error; then the file is decoded once.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] when the file cannot be read, `Corrupt` when
     /// it does not parse, `VersionMismatch` for foreign layouts.
     pub fn load(path: impl AsRef<Path>) -> Result<EnsembleCheckpoint, CheckpointError> {
         let text = std::fs::read_to_string(path)?;
-        let value = serde_json::from_str_value(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("not JSON: {e:?}")))?;
-        let entries = value
-            .as_object()
-            .ok_or_else(|| CheckpointError::Corrupt("top level is not an object".into()))?;
-        match serde::value::find(entries, "version") {
-            Some(serde::Value::U64(v)) if *v == u64::from(CHECKPOINT_VERSION) => {}
-            Some(serde::Value::U64(v)) => {
+        let version = serde_json::from_str_field::<serde_json::Value>(&text, "version")
+            .map_err(|e| CheckpointError::Corrupt(format!("not a JSON object: {e}")))?;
+        match version {
+            Some(serde_json::Value::U64(v)) if v == u64::from(CHECKPOINT_VERSION) => {}
+            Some(serde_json::Value::U64(v)) => {
                 return Err(CheckpointError::VersionMismatch {
-                    found: *v as u32,
+                    found: v as u32,
                     expected: CHECKPOINT_VERSION,
                 })
             }
@@ -347,12 +345,133 @@ mod tests {
                 if found == CHECKPOINT_VERSION + 7 && expected == CHECKPOINT_VERSION
         ));
 
+        // A foreign version wins over a body of the wrong shape, wherever
+        // the version key sits ...
+        let foreign_shape = temp_path("foreign_shape.json");
+        for text in [
+            r#"{"version": 99, "rules": "not a list"}"#,
+            r#"{"rules": 3, "version": 99, "extra": [1, {"a": null}]}"#,
+            r#"{"version": 99, "version": 1}"#,
+        ] {
+            std::fs::write(&foreign_shape, text).unwrap();
+            assert!(
+                matches!(
+                    EnsembleCheckpoint::load(&foreign_shape),
+                    Err(CheckpointError::VersionMismatch { found: 99, .. })
+                ),
+                "{text}"
+            );
+        }
+        // ... but not over broken JSON, a missing or non-integer version, a
+        // non-object, or nesting past the decoder's depth cap.
+        for text in [
+            r#"{"version": 99, "rules": [1,}"#,
+            r#"{"version": 99} trailing"#,
+            r#"{"rules": []}"#,
+            r#"{"version": "1"}"#,
+            r#"{"version": 1.0}"#,
+            r#"{"version": -0}"#,
+            "[1]",
+            &format!(r#"{{"version": 99, "rules": {}"#, "[".repeat(100_000)),
+            &"[".repeat(100_000),
+            &format!("{}{}", "[".repeat(129), "]".repeat(129)),
+        ] {
+            std::fs::write(&foreign_shape, text).unwrap();
+            assert!(
+                matches!(
+                    EnsembleCheckpoint::load(&foreign_shape),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{}",
+                &text[..text.len().min(40)]
+            );
+        }
+        // The current version with a wrong shape is a shape error.
+        std::fs::write(
+            &foreign_shape,
+            format!(r#"{{"version": {CHECKPOINT_VERSION}, "rules": 3}}"#),
+        )
+        .unwrap();
+        assert!(matches!(
+            EnsembleCheckpoint::load(&foreign_shape),
+            Err(CheckpointError::Corrupt(_))
+        ));
+
         assert!(matches!(
             EnsembleCheckpoint::load("/nonexistent/definitely/missing.json"),
             Err(CheckpointError::Io(_))
         ));
         std::fs::remove_file(&garbage).ok();
         std::fs::remove_file(&wrong_version).ok();
+        std::fs::remove_file(&foreign_shape).ok();
+    }
+
+    /// A finite float from raw bits: any sign, subnormals, both extremes.
+    fn finite(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits & !(1 << 62))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #[test]
+        fn checkpoint_round_trips_bit_for_bit(
+            genes in proptest::collection::vec(proptest::option::of((0u64..u64::MAX, 0u64..u64::MAX)), 1..5),
+            floats in proptest::collection::vec(0u64..u64::MAX, 4..9),
+            words in proptest::collection::vec(0u64..u64::MAX, 0..4),
+            counts in (0usize..1 << 20, 0u64..u64::MAX, 0u32..u32::MAX, 0usize..3),
+        ) {
+            let (n, seed, attempts, status) = counts;
+            let rule = Rule {
+                condition: Condition::new(
+                    genes
+                        .iter()
+                        .map(|g| match g {
+                            Some((a, b)) => {
+                                let (a, b) = (finite(*a), finite(*b));
+                                Gene::Bounded { lo: a.min(b), hi: a.max(b) }
+                            }
+                            None => Gene::Wildcard,
+                        })
+                        .collect(),
+                ),
+                coefficients: floats[3..].iter().map(|&b| finite(b)).collect(),
+                intercept: finite(floats[0]),
+                prediction: finite(floats[1]),
+                error: finite(floats[2]),
+                matched: n,
+            };
+            let cp = EnsembleCheckpoint {
+                version: CHECKPOINT_VERSION,
+                config_fingerprint: seed,
+                executions_done: n,
+                outcomes: (0..status)
+                    .map(|i| ExecutionOutcome {
+                        execution: i,
+                        seed: seed ^ i as u64,
+                        attempts,
+                        rules: n,
+                        status: [OutcomeStatus::Completed, OutcomeStatus::Failed][i % 2],
+                    })
+                    .collect(),
+                rules: vec![rule.clone(), rule],
+                folded_rules: status,
+                coverage_len: words.len() * 64,
+                covered_words: words,
+            };
+            for text in [
+                serde_json::to_string(&cp).unwrap(),
+                serde_json::to_string_pretty(&cp).unwrap(),
+            ] {
+                let back: EnsembleCheckpoint = serde_json::from_str(&text).unwrap();
+                proptest::prop_assert_eq!(&back, &cp);
+                proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&cp).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -462,4 +462,49 @@ mod tests {
         cfg.value_range = (-50.0, 150.0);
         assert_eq!(cfg.range_width(), 200.0);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #[test]
+        fn engine_config_round_trips_bit_for_bit(
+            shape in (1usize..30, 1usize..10, 1usize..4),
+            sizes in (0usize..10_000, 0usize..1 << 40, 0usize..50, 0usize..1 << 20),
+            floats in proptest::collection::vec(0u64..u64::MAX, 8),
+            picks in (0u64..u64::MAX, 0usize..3, 0usize..2, 0usize..4),
+        ) {
+            let finite = |bits: u64| {
+                let x = f64::from_bits(bits);
+                if x.is_finite() { x } else { f64::from_bits(bits & !(1 << 62)) }
+            };
+            let (window, horizon, spacing) = shape;
+            let (population_size, generations, tournament_rounds, parallel_threshold) = sizes;
+            let (seed, replacement, init, toggles) = picks;
+            let mut cfg = EngineConfig::for_series(&train(), spec());
+            cfg.window = WindowSpec::with_spacing(window, horizon, spacing).unwrap();
+            cfg.population_size = population_size;
+            cfg.generations = generations;
+            cfg.tournament_rounds = tournament_rounds;
+            cfg.parallel_threshold = parallel_threshold;
+            cfg.seed = seed;
+            cfg.fitness.emax = finite(floats[0]);
+            cfg.fitness.f_min = finite(floats[1]);
+            cfg.mutation.per_gene_probability = finite(floats[2]);
+            cfg.mutation.step_fraction = finite(floats[3]);
+            cfg.mutation.to_wildcard_probability = finite(floats[4]);
+            cfg.mutation.from_wildcard_probability = finite(floats[5]);
+            cfg.value_range = (finite(floats[6]), finite(floats[7]));
+            cfg.replacement = [
+                ReplacementStrategy::Crowding,
+                ReplacementStrategy::ReplaceWorst,
+                ReplacementStrategy::ReplaceRandom,
+            ][replacement];
+            cfg.init = [InitStrategy::Binned, InitStrategy::Random][init];
+            cfg.use_match_index = toggles & 1 != 0;
+            cfg.use_delta_eval = toggles & 2 != 0;
+            let text = serde_json::to_string(&cfg).unwrap();
+            let back: EngineConfig = serde_json::from_str(&text).unwrap();
+            proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+            proptest::prop_assert_eq!(&back, &cfg);
+        }
+    }
 }

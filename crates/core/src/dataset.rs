@@ -276,14 +276,35 @@ impl ColumnStore {
 pub fn fill_gene_bitset(column: &[f64], lo: f64, hi: f64, out: &mut MatchBitset) {
     assert_eq!(column.len(), out.len(), "column/bitset length mismatch");
     debug_assert!(!lo.is_nan() && !hi.is_nan(), "NaN gene interval bound");
+    let (chunks, tail) = column.as_chunks::<64>();
     let words = out.words_mut();
-    for (word, chunk) in words.iter_mut().zip(column.chunks(64)) {
-        let mut w = 0u64;
-        for (b, &x) in chunk.iter().enumerate() {
-            w |= u64::from(x >= lo && x <= hi) << b;
-        }
-        *word = w;
+    for (word, chunk) in words.iter_mut().zip(chunks) {
+        *word = pack_matches(chunk, lo, hi);
     }
+    if let Some(word) = words.get_mut(chunks.len()) {
+        *word = pack_matches(tail, lo, hi);
+    }
+}
+
+/// Bit `b` set exactly when `chunk[b] ∈ [lo, hi]` (`chunk` holds at most 64
+/// rows). Branch-free: the compares fill one 0/1 byte per row, which the
+/// compiler vectorises, and each 8 bytes fold into 8 bits with one
+/// multiply (`0x0102…80` moves byte `i`'s low bit to bit `56 + i`; no two
+/// partial products overlap, so nothing carries).
+fn pack_matches(chunk: &[f64], lo: f64, hi: f64) -> u64 {
+    let mut flags = [0u8; 64];
+    for (flag, &x) in flags.iter_mut().zip(chunk) {
+        *flag = u8::from((x >= lo) & (x <= hi));
+    }
+    flags
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .enumerate()
+        .fold(0, |w, (g, bytes)| {
+            let byte = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+            w | (byte << (8 * g))
+        })
 }
 
 #[cfg(test)]
@@ -410,5 +431,73 @@ mod tests {
         let mut bits = MatchBitset::new(200);
         fill_gene_bitset(&long, 63.0, 130.0, &mut bits);
         assert_eq!(bits.to_indices(), (63..=130).collect::<Vec<_>>());
+    }
+
+    /// The row-at-a-time predicate the packed fill must reproduce.
+    fn reference_fill(column: &[f64], lo: f64, hi: f64) -> MatchBitset {
+        let mut bits = MatchBitset::new(column.len());
+        for (i, &x) in column.iter().enumerate() {
+            if x >= lo && x <= hi {
+                bits.set(i);
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn gene_bitset_fill_handles_signed_zero_and_tied_endpoints() {
+        // -0.0 == 0.0, so either zero matches a zero endpoint on either
+        // side; values equal to an endpoint are inside. 130 rows: two full
+        // words and a ragged tail, each holding the tricky values.
+        let pattern = [
+            -0.0,
+            0.0,
+            1.0,
+            -1.0,
+            2.0,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -5e-324,
+        ];
+        let column: Vec<f64> = pattern.iter().copied().cycle().take(130).collect();
+        for (lo, hi) in [
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-1.0, -0.0),
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ] {
+            let mut bits = MatchBitset::new(column.len());
+            bits.fill_all();
+            fill_gene_bitset(&column, lo, hi, &mut bits);
+            assert_eq!(bits, reference_fill(&column, lo, hi), "[{lo}, {hi}]");
+        }
+        let mut bits = MatchBitset::new(column.len());
+        fill_gene_bitset(&column, -0.0, 0.0, &mut bits);
+        assert_eq!(bits.count_ones(), 2 * 17);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn gene_bitset_fill_matches_the_row_predicate(
+            picks in proptest::collection::vec(0usize..8, 0..300),
+            lo_pick in 0usize..8,
+            width in 0usize..4,
+        ) {
+            // Few distinct values, so endpoints tie with many rows.
+            let values = [-2.0, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0, f64::NAN];
+            let column: Vec<f64> = picks.iter().map(|&i| values[i]).collect();
+            let lo = values[lo_pick % 7];
+            let hi = values[(lo_pick % 7 + width).min(6)];
+            let mut bits = MatchBitset::new(column.len());
+            bits.fill_all();
+            fill_gene_bitset(&column, lo, hi, &mut bits);
+            proptest::prop_assert_eq!(bits, reference_fill(&column, lo, hi));
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! Minimal HTTP/1.1 framing over a `TcpStream` — just enough for a JSON
-//! request/response protocol with `Connection: close` semantics, so the
-//! server needs no external HTTP dependency.
+//! Minimal HTTP/1.1 framing — just enough for a JSON request/response
+//! protocol with `Connection: close` semantics, so the server needs no
+//! external HTTP dependency. Requests are read from any [`Read`] (the server
+//! passes its `TcpStream`); responses are written to a `TcpStream`.
 //!
 //! Supported: request line + headers, `Content-Length` bodies (capped),
 //! status-line responses with a JSON body. Not supported (typed 400 instead
@@ -66,11 +67,15 @@ impl From<io::Error> for HttpError {
 }
 
 /// Read one request from the stream. `max_body` caps the accepted
-/// `Content-Length`.
+/// `Content-Length`; the request line and headers together may take at most
+/// 16 KiB, and no head line is buffered past that budget.
 ///
 /// # Errors
 /// [`HttpError`] as documented on the variants.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+pub fn read_request<R: Read + ?Sized>(
+    stream: &mut R,
+    max_body: usize,
+) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
 
@@ -133,12 +138,16 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 }
 
 /// Read one CRLF- (or LF-) terminated header line, enforcing the head cap.
-fn read_line(
-    reader: &mut BufReader<&mut TcpStream>,
-    head_bytes: &mut usize,
-) -> Result<String, HttpError> {
+/// The read stops one byte past the remaining budget, so an endless line
+/// costs at most the cap in memory.
+fn read_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, HttpError> {
     let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(HttpError::from)?;
+    let budget = (MAX_HEAD_BYTES - *head_bytes) as u64 + 1;
+    let n = reader
+        .by_ref()
+        .take(budget)
+        .read_line(&mut line)
+        .map_err(HttpError::from)?;
     if n == 0 {
         return Err(HttpError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -193,6 +202,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::TcpListener;
     use std::thread;
 
@@ -271,5 +281,116 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         let (parsed, _) = parse_via_socket(raw, 1024);
         assert!(matches!(parsed, Err(HttpError::BadRequest(_))));
+    }
+
+    #[test]
+    fn endless_head_lines_stop_at_the_head_cap() {
+        // An endless request line, and an endless header after a valid
+        // request line: both end in a typed error after ~16 KiB, not in a
+        // buffer that grows until the deadline.
+        let parsed = read_request(&mut io::repeat(b'a'), 1024);
+        assert!(matches!(parsed, Err(HttpError::BadRequest(_))));
+        let mut stream = (&b"GET / HTTP/1.1\r\nx-pad: "[..]).chain(io::repeat(b'b'));
+        let parsed = read_request(&mut stream, 1024);
+        assert!(matches!(parsed, Err(HttpError::BadRequest(_))));
+        // A head of exactly the cap is still accepted.
+        let line = format!(
+            "GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "c".repeat(MAX_HEAD_BYTES - 27)
+        );
+        assert_eq!(line.len(), MAX_HEAD_BYTES);
+        assert!(read_request(&mut line.as_bytes(), 1024).is_ok());
+        let line = format!(
+            "GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "c".repeat(MAX_HEAD_BYTES - 26)
+        );
+        assert!(matches!(
+            read_request(&mut line.as_bytes(), 1024),
+            Err(HttpError::BadRequest(_))
+        ));
+    }
+
+    /// Hands out its bytes in reads of the given sizes, cycling.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A comparable summary of a parse outcome.
+    fn outcome(parsed: Result<Request, HttpError>) -> Result<Request, String> {
+        parsed.map_err(|e| match e {
+            HttpError::BadRequest(_) => "bad-request".to_string(),
+            HttpError::Io(e) => format!("io {:?}", e.kind()),
+            other => other.to_string(),
+        })
+    }
+
+    fn parse_split(raw: &[u8], sizes: &[usize], max_body: usize) -> Result<Request, String> {
+        let mut reader = Chunked {
+            data: raw,
+            sizes,
+            reads: 0,
+        };
+        outcome(read_request(&mut reader, max_body))
+    }
+
+    /// Bytes the framing turns on, so random heads reach every branch.
+    const ALPHABET: &[u8] =
+        b"GETPOS /?x HTTP/1.\r\n:content-length:transfer-encoding 0123456789\xff";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn arbitrary_bytes_frame_the_same_in_any_split(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..96),
+            raw in proptest::collection::vec(0u8..255, 0..64),
+            sizes in proptest::collection::vec(1usize..9, 1..6),
+        ) {
+            let framed: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
+            for bytes in [framed, raw] {
+                let whole = outcome(read_request(&mut bytes.as_slice(), 16));
+                prop_assert_eq!(parse_split(&bytes, &sizes, 16), whole);
+            }
+        }
+
+        #[test]
+        fn valid_requests_survive_any_split(
+            post in 0usize..2,
+            path_len in 1usize..20,
+            headers in proptest::collection::vec((1usize..12, 0usize..30), 0..6),
+            body_len in 0usize..300,
+            sizes in proptest::collection::vec(1usize..40, 1..6),
+        ) {
+            let method = ["GET", "POST"][post];
+            let path = format!("/{}", "p".repeat(path_len - 1));
+            let body: Vec<u8> = (0..body_len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut raw = format!("{method} {path}?q=1 HTTP/1.1\r\n").into_bytes();
+            for (name_len, value_len) in &headers {
+                raw.extend_from_slice(
+                    format!("x-{}: {}\r\n", "n".repeat(*name_len), "v".repeat(*value_len)).as_bytes(),
+                );
+            }
+            raw.extend_from_slice(format!("Content-Length: {body_len}\r\n\r\n").as_bytes());
+            raw.extend_from_slice(&body);
+            let expected = Request {
+                method: method.to_string(),
+                path,
+                body,
+            };
+            prop_assert_eq!(outcome(read_request(&mut raw.as_slice(), 1024)), Ok(expected.clone()));
+            prop_assert_eq!(parse_split(&raw, &sizes, 1024), Ok(expected));
+        }
     }
 }

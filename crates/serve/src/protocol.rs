@@ -246,6 +246,7 @@ impl ErrorResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_defaults_fill_in() {
@@ -301,5 +302,116 @@ mod tests {
         let req: ReloadRequest = serde_json::from_str(r#"{"path": "/tmp/m.json"}"#).unwrap();
         assert_eq!(req.model, "default");
         assert_eq!(req.kind, ArtifactKind::Model);
+    }
+
+    /// A finite float from raw bits: any sign, subnormals, both extremes.
+    fn finite(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits & !(1 << 62))
+        }
+    }
+
+    fn bits_of(windows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        windows
+            .iter()
+            .map(|w| w.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn forecast_request_round_trips_bit_for_bit(
+            rows in proptest::collection::vec(proptest::collection::vec(0u64..u64::MAX, 0..6), 0..5),
+            horizon in 0usize..100,
+            flags in 0usize..8,
+        ) {
+            let req = ForecastRequest {
+                model: format!("slot-{horizon}\"\u{e9}\n"),
+                windows: rows.iter().map(|r| r.iter().map(|&b| finite(b)).collect()).collect(),
+                horizon,
+                combination: [CombinationMode::Mean, CombinationMode::InverseErrorWeighted][flags & 1],
+                detail: flags & 2 != 0,
+                engine: [EngineKind::Compiled, EngineKind::Scan][(flags >> 2) & 1],
+            };
+            let text = serde_json::to_string(&req).unwrap();
+            let back: ForecastRequest = serde_json::from_str(&text).unwrap();
+            prop_assert_eq!(&back.model, &req.model);
+            prop_assert_eq!(bits_of(&back.windows), bits_of(&req.windows));
+            prop_assert_eq!(back.horizon, req.horizon);
+            prop_assert_eq!(back.combination, req.combination);
+            prop_assert_eq!(back.detail, req.detail);
+            prop_assert_eq!(back.engine, req.engine);
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        }
+
+        #[test]
+        fn forecast_response_round_trips_bit_for_bit(
+            preds in proptest::collection::vec(proptest::option::of(0u64..u64::MAX), 0..6),
+            trajectories in proptest::option::of(
+                proptest::collection::vec(proptest::collection::vec(0u64..u64::MAX, 0..4), 0..3),
+            ),
+            details in proptest::option::of(proptest::collection::vec(
+                proptest::option::of((0usize..1000, 0u64..u64::MAX)),
+                0..4,
+            )),
+            version in 0u64..u64::MAX,
+        ) {
+            let resp = ForecastResponse {
+                model: "default".to_string(),
+                model_version: version,
+                engine: EngineKind::Scan,
+                predictions: preds.iter().map(|p| p.map(finite)).collect(),
+                trajectories: trajectories.map(|t| {
+                    t.iter().map(|r| r.iter().map(|&b| finite(b)).collect()).collect()
+                }),
+                details: details.map(|d| {
+                    d.iter()
+                        .map(|x| x.map(|(firing_rules, e)| WindowDetail {
+                            firing_rules,
+                            expected_error: finite(e),
+                        }))
+                        .collect()
+                }),
+                abstained: preds.iter().filter(|p| p.is_none()).count(),
+            };
+            let text = serde_json::to_string(&resp).unwrap();
+            let back: ForecastResponse = serde_json::from_str(&text).unwrap();
+            prop_assert_eq!(back.model_version, resp.model_version);
+            prop_assert_eq!(
+                back.predictions.iter().map(|p| p.map(f64::to_bits)).collect::<Vec<_>>(),
+                resp.predictions.iter().map(|p| p.map(f64::to_bits)).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                back.trajectories.as_deref().map(bits_of),
+                resp.trajectories.as_deref().map(bits_of)
+            );
+            prop_assert_eq!(&back.details, &resp.details);
+            prop_assert_eq!(back.abstained, resp.abstained);
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_decoder(
+            picks in proptest::collection::vec(0usize..48, 0..80),
+            raw in proptest::collection::vec(0u8..255, 0..80),
+            cut in 0usize..120,
+        ) {
+            const ALPHABET: &[u8] = b"{}[],:\" windows model horizon detail engine -.e0123456789nulltrue";
+            let framed: Vec<u8> = picks.iter().map(|&i| ALPHABET[i % ALPHABET.len()]).collect();
+            let valid = r#"{"windows": [[1.5, -0.0, null], [2e3]], "horizon": 2, "engine": "scan"}"#;
+            let damaged = [&valid.as_bytes()[..cut.min(valid.len())], &raw[..]].concat();
+            for bytes in [framed, raw.clone(), damaged] {
+                let text = String::from_utf8_lossy(&bytes);
+                if let Ok(req) = serde_json::from_str::<ForecastRequest>(&text) {
+                    let again = serde_json::to_string(&req).unwrap();
+                    prop_assert!(serde_json::from_str::<ForecastRequest>(&again).is_ok());
+                }
+                let _ = serde_json::from_str::<serde_json::Value>(&text);
+            }
+        }
     }
 }

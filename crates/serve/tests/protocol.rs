@@ -232,6 +232,7 @@ fn introspection_endpoints_answer() {
     let health = get(addr, "/healthz");
     assert_eq!(health.status, 200);
     assert!(health.body.contains("\"ok\""), "{}", health.body);
+    assert_eq!(health.body, r#"{"status":"ok","models":1}"#);
 
     let models = get(addr, "/models");
     assert_eq!(models.status, 200);
@@ -245,5 +246,61 @@ fn introspection_endpoints_answer() {
     assert_eq!(stats.status, 200);
     let snap: evoforecast_serve::StatsSnapshot = serde_json::from_str(&stats.body).unwrap();
     assert!(snap.requests >= 2);
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_bodies_are_typed_errors_not_crashes() {
+    // 100 000 nested `[` is 100 KB, far under the 1 MiB body cap. Decoding
+    // stops at 128 levels, so the worker answers instead of overflowing its
+    // stack and taking the process down.
+    let server = start_server(ServerConfig::default(), 5.0);
+    let addr = server.local_addr();
+    let deep = "[".repeat(100_000);
+
+    let r = post(addr, "/forecast", &deep);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    let r = post(addr, "/forecast", &format!(r#"{{"windows": {deep}"#));
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    let r = post(
+        addr,
+        "/forecast",
+        &format!(r#"{{"windows": [[1.0, 2.0]], "extra": {deep}"#),
+    );
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+
+    let r = post(addr, "/reload", &deep);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    let r = post(
+        addr,
+        "/reload",
+        &format!(r#"{{"path": "x", "kind": {deep}"#),
+    );
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+
+    // A deep artifact on disk is a failed reload; the old model serves on.
+    let path = std::env::temp_dir().join(format!("deep_artifact_{}.json", std::process::id()));
+    std::fs::write(&path, &deep).unwrap();
+    for kind in ["model", "checkpoint"] {
+        let body = format!(
+            r#"{{"path": {:?}, "kind": "{kind}"}}"#,
+            path.display().to_string()
+        );
+        let r = post(addr, "/reload", &body);
+        assert_eq!(r.status, 422, "{}", r.body);
+        assert_eq!(r.error_kind(), ErrorKind::ReloadFailed);
+    }
+    std::fs::remove_file(&path).ok();
+
+    // The server is still up and answers a normal forecast.
+    let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
+    assert_eq!(r.status, 200, "{}", r.body);
+    let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
+    assert_eq!(resp.predictions, vec![Some(5.0)]);
     server.shutdown();
 }
