@@ -147,7 +147,10 @@ fn read_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String
         .by_ref()
         .take(budget)
         .read_line(&mut line)
-        .map_err(HttpError::from)?;
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::InvalidData => HttpError::BadRequest("request head is not UTF-8".into()),
+            _ => HttpError::from(e),
+        })?;
     if n == 0 {
         return Err(HttpError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -274,6 +277,23 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         let (parsed, _) = parse_via_socket(raw, 1024);
         assert!(matches!(parsed, Err(HttpError::BadRequest(_))));
+    }
+
+    #[test]
+    fn rejects_a_head_that_is_not_utf8() {
+        // A typed 400 for the client, not an I/O error that reads as a
+        // vanished peer and closes without a reply.
+        let (parsed, reply) = parse_via_socket(b"GET /\xff HTTP/1.1\r\n\r\n", 1024);
+        assert!(
+            matches!(parsed, Err(HttpError::BadRequest(_))),
+            "{parsed:?}"
+        );
+        assert!(!reply.is_empty());
+        let parsed = read_request(&mut &b"GET / HTTP/1.1\r\nx: \xc3\r\n\r\n"[..], 16);
+        assert!(
+            matches!(parsed, Err(HttpError::BadRequest(_))),
+            "{parsed:?}"
+        );
     }
 
     #[test]

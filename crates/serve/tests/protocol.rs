@@ -91,6 +91,11 @@ fn typed_errors_for_every_malformed_input() {
     assert_eq!(r.status, 400);
     assert_eq!(r.error_kind(), ErrorKind::BadRequest);
 
+    // A head that is not UTF-8 is answered, not dropped as a lost peer.
+    let r = raw_round_trip(addr, b"POST /forecast\xff HTTP/1.1\r\n\r\n");
+    assert_eq!(r.status, 400);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+
     // Declared body larger than the cap: rejected from the header alone.
     let r = raw_round_trip(
         addr,
